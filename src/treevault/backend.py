@@ -16,7 +16,7 @@ import abc
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -64,6 +64,14 @@ class CounterSnapshot:
             {k: v for k, v in ops.items() if v},
         )
 
+    def record(self, kind: str, key: str, read: int, written: int) -> None:
+        self.bytes_read += read
+        self.bytes_written += written
+        if is_payload_key(key):
+            self.payload_bytes_read += read
+            self.payload_bytes_written += written
+        self.ops[kind] = self.ops.get(kind, 0) + 1
+
     def to_json(self) -> dict:
         return {
             "bytes_read": self.bytes_read,
@@ -72,30 +80,6 @@ class CounterSnapshot:
             "payload_bytes_written": self.payload_bytes_written,
             "ops": dict(sorted(self.ops.items())),
         }
-
-
-class _Counters:
-    def __init__(self):
-        self._snap = CounterSnapshot()
-
-    def record(self, kind: str, key: str, read: int, written: int) -> None:
-        s = self._snap
-        s.bytes_read += read
-        s.bytes_written += written
-        if is_payload_key(key):
-            s.payload_bytes_read += read
-            s.payload_bytes_written += written
-        s.ops[kind] = s.ops.get(kind, 0) + 1
-
-    def snapshot(self) -> CounterSnapshot:
-        s = self._snap
-        return CounterSnapshot(
-            s.bytes_read,
-            s.bytes_written,
-            s.payload_bytes_read,
-            s.payload_bytes_written,
-            dict(s.ops),
-        )
 
 
 @dataclass
@@ -113,14 +97,21 @@ class FaultPlan:
     fail_delete_substring: str | None = None
 
 
+def _check_range(key: str, offset: int, length: int, size: int) -> None:
+    if offset < 0 or length < 0 or offset + length > size:
+        raise BackendError(
+            f"range [{offset}, {offset + length}) outside key {key!r} "
+            f"of size {size}"
+        )
+
+
 class StorageBackend(abc.ABC):
     supports_atomic_rename: bool = False
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._totals = _Counters()
-        self._by_identity: dict[str, _Counters] = {}
-        self._trace: list[tuple[str, str, str]] = []
+        self._totals = CounterSnapshot()
+        self._by_identity: dict[str, CounterSnapshot] = {}
         self._ops_executed = 0
         self._fault = FaultPlan()
         self._crashed = False
@@ -143,7 +134,6 @@ class StorageBackend(abc.ABC):
             self._fault = FaultPlan()
             self._crashed = False
             self._ops_executed = 0
-            self._trace.clear()
 
     def set_payload_gate(self, closed: bool) -> None:
         """While closed, puts of chunk-payload keys block."""
@@ -154,17 +144,14 @@ class StorageBackend(abc.ABC):
     def counters(self, identity: str | None = None) -> CounterSnapshot:
         with self._lock:
             if identity is None:
-                return self._totals.snapshot()
-            c = self._by_identity.get(identity)
-            return c.snapshot() if c else CounterSnapshot()
+                c = self._totals
+            else:
+                c = self._by_identity.get(identity, CounterSnapshot())
+            return replace(c, ops=dict(c.ops))
 
     def identities(self) -> list[str]:
         with self._lock:
             return sorted(self._by_identity)
-
-    def trace(self) -> list[tuple[str, str, str]]:
-        with self._lock:
-            return list(self._trace)
 
     def op_count(self) -> int:
         with self._lock:
@@ -197,29 +184,22 @@ class StorageBackend(abc.ABC):
                 and fault.fail_put_substring is not None
                 and fault.fail_put_substring in key
             ):
-                self._fault = FaultPlan(
-                    crash_after_ops=fault.crash_after_ops,
-                    fail_delete_substring=fault.fail_delete_substring,
-                )
+                self._fault = replace(fault, fail_put_substring=None)
                 raise InjectedFaultError(f"injected write failure for key {key!r}")
             if (
                 kind == "delete"
                 and fault.fail_delete_substring is not None
                 and fault.fail_delete_substring in key
             ):
-                self._fault = FaultPlan(
-                    crash_after_ops=fault.crash_after_ops,
-                    fail_put_substring=fault.fail_put_substring,
-                )
+                self._fault = replace(fault, fail_delete_substring=None)
                 raise InjectedFaultError(
                     f"injected delete failure for key {key!r}"
                 )
             result, read, written = fn()
             self._totals.record(kind, key, read, written)
-            self._by_identity.setdefault(identity, _Counters()).record(
+            self._by_identity.setdefault(identity, CounterSnapshot()).record(
                 kind, key, read, written
             )
-            self._trace.append((identity, kind, key))
             self._ops_executed += 1
             return result
 
@@ -272,9 +252,6 @@ class Store:
         self.backend = backend
         self.identity = identity
         self._on_op = on_op
-
-    def with_hook(self, on_op: OpHook) -> "Store":
-        return Store(self.backend, self.identity, on_op)
 
     def _run(self, kind: str, key: str, fn):
         if self._on_op is not None:
@@ -345,11 +322,7 @@ class MemoryBackend(StorageBackend):
 
     def _get_range(self, key: str, offset: int, length: int) -> bytes:
         data = self._get(key)
-        if offset < 0 or length < 0 or offset + length > len(data):
-            raise BackendError(
-                f"range [{offset}, {offset + length}) outside key {key!r} "
-                f"of size {len(data)}"
-            )
+        _check_range(key, offset, length, len(data))
         return data[offset : offset + length]
 
     def _list(self, prefix: str) -> list[str]:
@@ -414,11 +387,7 @@ class FilesystemBackend(StorageBackend):
             size = path.stat().st_size
         except FileNotFoundError:
             raise MissingKeyError(f"no such key {key!r}") from None
-        if offset < 0 or length < 0 or offset + length > size:
-            raise BackendError(
-                f"range [{offset}, {offset + length}) outside key {key!r} "
-                f"of size {size}"
-            )
+        _check_range(key, offset, length, size)
         with open(path, "rb") as f:
             f.seek(offset)
             return f.read(length)

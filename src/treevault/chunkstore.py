@@ -208,8 +208,22 @@ def coords_key(coords: tuple[int, ...]) -> str:
     return ".".join(str(c) for c in coords)
 
 
-def chunk_object_key(leaf_path: str, coords: tuple[int, ...]) -> str:
-    return f"{leaf_path}/c.{coords_key(coords)}"
+def chunk_object_key(leaf_path: str, ck: str) -> str:
+    return f"{leaf_path}/c.{ck}"
+
+
+def chunk_location(
+    prefix: str, leaf_path: str, ck: str, loc: dict
+) -> tuple[str, int]:
+    """Storage key and byte offset of one chunk from its merged-index entry.
+
+    A per-leaf chunk is a whole object (offset 0); an aggregated chunk sits
+    at offset ``loc["o"]`` inside a data file of its process.
+    """
+    pdir = f"{prefix}/process_{loc['p']}"
+    if "f" in loc:
+        return f"{pdir}/{DATA_DIR}/{loc['f']}", loc["o"]
+    return f"{pdir}/{chunk_object_key(leaf_path, ck)}", 0
 
 
 def _covering(ranges: tuple[Range, ...], steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -273,9 +287,6 @@ class AggregatedManifest:
                     raise CorruptionError(
                         f"overlapping byte ranges in data file {fid}"
                     )
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
     def keys(self) -> list[str]:
         return list(self._keys)
@@ -401,7 +412,7 @@ class ProcessArrayWriter:
                 f"chunk {ck} of {leaf_path!r} written twice"
             )
         seen.add(ck)
-        rel_key = chunk_object_key(leaf_path, coords)
+        rel_key = chunk_object_key(leaf_path, ck)
         if self._layout == PER_LEAF:
             full = f"{self._prefix}/{rel_key}"
             self._store.put(full, payload)
@@ -476,33 +487,23 @@ class ChunkReader:
                 f"leaf {leaf_path!r} missing from merged index"
             ) from None
 
-    def _location(self, leaf_path: str, ck: str) -> dict:
+    def _fetch(
+        self, leaf_path: str, ck: str, byte_off: int = 0, nbytes: int | None = None
+    ) -> bytes:
+        """``nbytes`` from ``byte_off`` inside one write chunk, or the whole
+        chunk when ``nbytes`` is None. A whole per-leaf chunk is one ``get``;
+        everything else is a ``get_range``."""
         loc = self._arrays[leaf_path]["chunks"].get(ck)
         if loc is None:
             raise CorruptionError(
                 f"chunk {ck} of {leaf_path!r} missing from merged index"
             )
-        return loc
-
-    def _fetch_chunk(self, leaf_path: str, coords: tuple[int, ...], meta) -> bytes:
-        loc = self._location(leaf_path, coords_key(coords))
-        if "f" in loc:
-            key = f"{self._prefix}/process_{loc['p']}/{DATA_DIR}/{loc['f']}"
-            return self._store.get_range(key, loc["o"], loc["l"])
-        key = f"{self._prefix}/process_{loc['p']}/" + chunk_object_key(
-            leaf_path, coords
-        )
-        return self._store.get(key)
-
-    def _fetch_span(self, leaf_path, coords, meta, byte_off, nbytes) -> bytes:
-        loc = self._location(leaf_path, coords_key(coords))
-        if "f" in loc:
-            key = f"{self._prefix}/process_{loc['p']}/{DATA_DIR}/{loc['f']}"
-            return self._store.get_range(key, loc["o"] + byte_off, nbytes)
-        key = f"{self._prefix}/process_{loc['p']}/" + chunk_object_key(
-            leaf_path, coords
-        )
-        return self._store.get_range(key, byte_off, nbytes)
+        key, base = chunk_location(self._prefix, leaf_path, ck, loc)
+        if nbytes is None:
+            if "f" not in loc:
+                return self._store.get(key)
+            nbytes = loc["l"]
+        return self._store.get_range(key, base + byte_off, nbytes)
 
     def read_range(
         self, leaf_path: str, ranges: tuple[Range, ...]
@@ -510,10 +511,11 @@ class ChunkReader:
         """Assemble exactly the requested elements, loading the minimal set
         of read chunks that covers them.
 
-        A read chunk that is contiguous inside its write chunk's row-major
-        buffer is fetched with a byte-range read; otherwise the whole write
-        chunk is fetched once and sliced, and bytes_loaded reflects the full
-        fetch.
+        A write chunk is fetched whole, once, when every one of its read
+        chunks is needed or when its read chunks are not contiguous in its
+        row-major buffer; the requested part is copied straight out of it
+        and bytes_loaded counts the full fetch. Otherwise each needed read
+        chunk is fetched with its own byte-range read.
         """
         meta = self.metadata_for(leaf_path)
         nd = numpy_dtype(meta.dtype)
@@ -532,65 +534,52 @@ class ChunkReader:
             return out, stats
 
         w, r = meta.write_chunk, meta.read_chunk
-        subs_per_chunk = tuple(wi // ri for wi, ri in zip(w, r))
-        chunk_nbytes = meta.chunk_nbytes()
+        subs_per_chunk = math.prod(wi // ri for wi, ri in zip(w, r))
+        contiguous = _slab_is_contiguous(r, w)
+        strides = _strides(w)
+        sub_nbytes = math.prod(r) * isz
         for coords in _covering(ranges, w):
+            ck = coords_key(coords)
             chunk_ranges = _cell_ranges(coords, w)
-            in_chunk = _intersect(ranges, chunk_ranges)
-            assert in_chunk is not None
-            needed = list(_covering(in_chunk, r))
-            # Relative subchunk coords within this write chunk.
-            rel = [
-                tuple(s - c * n for s, c, n in zip(sub, coords, subs_per_chunk))
-                for sub in needed
-            ]
-            whole = len(needed) == math.prod(subs_per_chunk)
-            contiguous = _slab_is_contiguous(r, w)
-            if whole or not contiguous:
-                chunk = np.frombuffer(
-                    self._fetch_chunk(leaf_path, coords, meta), nd
-                ).reshape(w)
-                stats.bytes_loaded += chunk_nbytes
-                pieces = [
-                    (
-                        sub,
-                        chunk[
-                            tuple(
-                                slice(rc * ri, (rc + 1) * ri)
-                                for rc, ri in zip(rel_c, r)
-                            )
-                        ],
-                    )
-                    for sub, rel_c in zip(needed, rel)
-                ]
-            else:
-                pieces = []
-                for sub, rel_c in zip(needed, rel):
-                    first = sum(
-                        rc * ri * stride
-                        for rc, ri, stride in zip(rel_c, r, _strides(w))
-                    )
-                    nbytes = math.prod(r) * isz
-                    raw = self._fetch_span(
-                        leaf_path, coords, meta, first * isz, nbytes
-                    )
-                    stats.bytes_loaded += nbytes
-                    pieces.append((sub, np.frombuffer(raw, nd).reshape(r)))
-            for sub, data in pieces:
+            needed = list(_covering(_intersect(ranges, chunk_ranges), r))
+            if len(needed) == subs_per_chunk or not contiguous:
+                chunk = np.frombuffer(self._fetch(leaf_path, ck), nd).reshape(w)
+                stats.bytes_loaded += meta.chunk_nbytes()
+                _copy_overlap(out, ranges, chunk, chunk_ranges)
+                continue
+            for sub in needed:
                 sub_ranges = _cell_ranges(sub, r)
-                hit = _intersect(sub_ranges, ranges)
-                if hit is None:
-                    continue
-                src = tuple(
-                    slice(ho - so, ho - so + he)
-                    for (ho, he), (so, _) in zip(hit, sub_ranges)
+                first = sum(
+                    (so - co) * stride
+                    for (so, _), (co, _), stride in zip(
+                        sub_ranges, chunk_ranges, strides
+                    )
                 )
-                dst = tuple(
-                    slice(ho - qo, ho - qo + he)
-                    for (ho, he), (qo, _) in zip(hit, ranges)
+                raw = self._fetch(leaf_path, ck, first * isz, sub_nbytes)
+                stats.bytes_loaded += sub_nbytes
+                _copy_overlap(
+                    out, ranges, np.frombuffer(raw, nd).reshape(r), sub_ranges
                 )
-                out[dst] = data[src]
         return out, stats
+
+
+def _copy_overlap(
+    dst: np.ndarray,
+    dst_ranges: tuple[Range, ...],
+    src: np.ndarray,
+    src_ranges: tuple[Range, ...],
+) -> None:
+    """Copy the elements two global boxes share from ``src`` into ``dst``."""
+    hit = _intersect(src_ranges, dst_ranges)
+    if hit is None:
+        return
+
+    def local(box: tuple[Range, ...]) -> tuple[slice, ...]:
+        return tuple(
+            slice(ho - bo, ho - bo + he) for (ho, he), (bo, _) in zip(hit, box)
+        )
+
+    dst[local(dst_ranges)] = src[local(src_ranges)]
 
 
 def _strides(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -672,7 +661,7 @@ def merge_process_indices(
                     )
                 loc: dict = {"p": p}
                 if manifest is not None:
-                    fid, off, length = manifest.lookup(f"{leaf}/c.{ck}")
+                    fid, off, length = manifest.lookup(chunk_object_key(leaf, ck))
                     loc.update({"f": fid, "o": off, "l": length})
                 chunks[ck] = loc
     if any(s != set(arrays) for s in leaf_sets):

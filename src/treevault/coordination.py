@@ -21,8 +21,9 @@ import enum
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 from .backend import StorageBackend, Store
 from .errors import (
@@ -51,6 +52,48 @@ class CrashSchedule:
 
     process: int
     at_barrier_substring: str
+
+
+def primary_error(errors: Sequence[BaseException]) -> BaseException:
+    """The failure to surface when several processes failed: the first
+    real error, not a barrier timeout it caused elsewhere."""
+    return next(
+        (e for e in errors if not isinstance(e, BarrierTimeoutError)), errors[0]
+    )
+
+
+class BackgroundTask:
+    """Runs ``fn`` on its own thread, or inline when ``sync`` is set.
+
+    ``wait`` joins and then returns the result or re-raises the deferred
+    failure; it is idempotent and does the same on every call.
+    """
+
+    def __init__(self, fn: Callable[[], Any], name: str, sync: bool = False):
+        self._result: Any = None
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+        if sync:
+            self._run(fn)
+        else:
+            self._thread = threading.Thread(target=self._run, args=(fn,), name=name)
+            self._thread.start()
+
+    def _run(self, fn: Callable[[], Any]) -> None:
+        try:
+            self._result = fn()
+        except BaseException as e:  # noqa: BLE001 - surfaced via wait()
+            self._error = e
+
+    def wait(self) -> Any:
+        if self._thread is not None:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+    def done(self) -> bool:
+        return self._thread is None or not self._thread.is_alive()
 
 
 class _BarrierState:
@@ -90,10 +133,6 @@ class SimulatedRuntime:
         self.controller = ControllerContext(self)
 
     # -- lifecycle -------------------------------------------------------
-
-    def dead_processes(self) -> set[int]:
-        with self._cond:
-            return set(self._dead)
 
     def _mark_dead(self, process: int) -> None:
         with self._cond:
@@ -183,34 +222,9 @@ class SimulatedRuntime:
         If any process raised, the most specific failure is re-raised
         (preferring real errors over barrier timeouts caused by them).
         """
-        results: list[Any] = [None] * self.process_count
-        errors: list[tuple[int, BaseException]] = []
-        lock = threading.Lock()
-
-        def body(ctx: "ProcessContext") -> None:
-            try:
-                results[ctx.index] = fn(ctx)
-            except BaseException as e:  # noqa: BLE001 - gathered below
-                with lock:
-                    errors.append((ctx.index, e))
-
-        threads = [
-            threading.Thread(
-                target=body, args=(ctx,), name=f"simproc-{ctx.index}"
-            )
-            for ctx in self.contexts
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results, errors = self._run_on(range(self.process_count), fn, "simproc")
         if errors:
-            errors.sort(key=lambda ie: ie[0])
-            primary = next(
-                (e for _, e in errors if not isinstance(e, BarrierTimeoutError)),
-                errors[0][1],
-            )
-            raise primary
+            raise primary_error([e for _, e in errors])
         return results
 
     def run_on_workers(
@@ -226,35 +240,32 @@ class SimulatedRuntime:
         if self.mode is not Mode.SINGLE_CONTROLLER:
             raise CoordinationError("run_on_workers requires single-controller mode")
         indices = list(range(self.process_count)) if workers is None else list(workers)
-        results: dict[int, Any] = {}
-        failures: list[tuple[int, BaseException]] = []
-        lock = threading.Lock()
+        results, failures = self._run_on(indices, task, "simworker")
+        if failures:
+            raise WorkerTaskError(failures)
+        return results
 
-        def body(ctx: "ProcessContext") -> None:
-            try:
-                out = task(ctx)
-                with lock:
-                    results[ctx.index] = out
-            except BaseException as e:  # noqa: BLE001 - gathered below
-                with lock:
-                    failures.append((ctx.index, e))
-
-        threads = [
-            threading.Thread(
-                target=body,
-                args=(self.contexts[i],),
-                name=f"simworker-{i}",
-            )
+    def _run_on(
+        self,
+        indices: Iterable[int],
+        fn: Callable[["ProcessContext"], Any],
+        name: str,
+    ) -> tuple[list[Any], list[tuple[int, BaseException]]]:
+        """Run ``fn(context)`` on one thread per process index and join them
+        all; returns the results in ``indices`` order and the failures as
+        (index, error) pairs sorted by index."""
+        tasks = [
+            (i, BackgroundTask(partial(fn, self.contexts[i]), f"{name}-{i}"))
             for i in indices
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            failures.sort(key=lambda ie: ie[0])
-            raise WorkerTaskError(failures)
-        return [results[i] for i in indices]
+        results: list[Any] = []
+        failures: list[tuple[int, BaseException]] = []
+        for i, task in tasks:
+            try:
+                results.append(task.wait())
+            except BaseException as e:  # noqa: BLE001 - gathered for the caller
+                failures.append((i, e))
+        return results, sorted(failures, key=lambda f: f[0])
 
 
 class ProcessContext:

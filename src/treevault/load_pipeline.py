@@ -19,16 +19,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from . import docio, treemodel
 from .backend import Store
 from .chunkstore import ArrayStorageMetadata, ChunkReader
-from .coordination import Mode, ProcessContext, SimulatedRuntime
+from .coordination import BackgroundTask, Mode, ProcessContext, SimulatedRuntime
 from .dtypes import numpy_dtype
 from .errors import (
     CorruptionError,
@@ -40,7 +39,6 @@ from .errors import (
     TreeError,
 )
 from .save_pipeline import (
-    COMMIT_FILE,
     DOCUMENT_FILE,
     GLOBAL_METADATA_FILE,
     MERGED_INDEX_FILE,
@@ -50,7 +48,6 @@ from .sharding import (
     Mesh,
     Range,
     Shard,
-    Sharding,
     replica_groups,
     shards_of,
     sharding_from_descriptor,
@@ -141,12 +138,6 @@ class CheckpointMetadata:
             (c["name"], c["handler"]) for c in self.doc.get("checkpointables", [])
         ]
 
-    def handler_of(self, name: str) -> str | None:
-        for n, h in self.checkpointables():
-            if n == name:
-                return h
-        return None
-
     def structure(self, name: str) -> TreeStructureDoc | None:
         root = self.doc.get("trees", {}).get(name)
         return TreeStructureDoc(root) if root is not None else None
@@ -199,8 +190,16 @@ def checkpoint_metadata(store: Store, path: str) -> CheckpointMetadata:
     return CheckpointMetadata(path, doc, merged)
 
 
-def _leaf_paths(structure: TreeStructureDoc) -> dict[str, dict]:
-    return dict(structure.leaf_entries())
+def _check_strict_structure(
+    mode: str, source: Iterable[str], targets: Iterable[str], message: str
+) -> None:
+    """In strict mode the target leaf paths must equal the source's."""
+    if mode != STRICT:
+        return
+    missing = sorted(set(source) - set(targets))
+    extra = sorted(set(targets) - set(source))
+    if missing or extra:
+        raise StructureMismatchError(message, missing, extra)
 
 
 def _resolve_target(
@@ -278,7 +277,7 @@ def build_plan(
             inline: dict[str, dict] = {}
         else:
             structure = meta.structure(name)
-            source_paths = _leaf_paths(structure)
+            source_paths = dict(structure.leaf_entries())
             inline = meta.inline(name)
 
         out: list[LoadDirective] = []
@@ -297,16 +296,12 @@ def build_plan(
                         "user-supplied abstract leaves must not set placeholder"
                     )
             target_paths = dict(flat)
-            if options.mode == STRICT:
-                missing = sorted(set(source_paths) - set(target_paths))
-                extra = sorted(set(target_paths) - set(source_paths))
-                if missing or extra:
-                    raise StructureMismatchError(
-                        f"abstract structure for {name!r} does not match "
-                        "the checkpoint",
-                        missing,
-                        extra,
-                    )
+            _check_strict_structure(
+                options.mode,
+                source_paths,
+                target_paths,
+                f"abstract structure for {name!r} does not match the checkpoint",
+            )
 
         for path in sorted(target_paths):
             abstract_leaf = target_paths[path]
@@ -482,7 +477,7 @@ def _assemble(
         if isinstance(skeleton, TreeStructureDoc):
             result[name] = skeleton.reconstruct(leaves.__getitem__)
         else:
-            result[name] = _fill_abstract(skeleton, leaves, "")
+            result[name] = _fill_abstract(skeleton, leaves)
     for name, abstract in plan.documents.items():
         doc = documents[name]
         if is_stateful_checkpointable(abstract):
@@ -493,19 +488,8 @@ def _assemble(
     return result
 
 
-def _fill_abstract(node: AbstractTree, leaves: dict[str, Leaf], prefix: str) -> Tree:
-    if treemodel.is_leaf(node):
-        return leaves[prefix]
-    if isinstance(node, dict):
-        return {
-            k: _fill_abstract(v, leaves, f"{prefix}/{k}" if prefix else k)
-            for k, v in node.items()
-        }
-    items = [
-        _fill_abstract(v, leaves, f"{prefix}/{i}" if prefix else str(i))
-        for i, v in enumerate(node)
-    ]
-    return tuple(items) if isinstance(node, tuple) else items
+def _fill_abstract(abstract: AbstractTree, leaves: dict[str, Leaf]) -> Tree:
+    return treemodel.map_leaves(lambda path, _: leaves[path], abstract)
 
 
 def _read_documents(store: Store, path: str, plan: LoadPlan) -> dict[str, Any]:
@@ -587,33 +571,8 @@ def load_with_broadcast(
     options: LoadOptions | None = None,
 ) -> dict[str, Any]:
     """Load with chunk reads restricted to replica group 0."""
-    options = options or LoadOptions()
-    options.broadcast = True
+    options = replace(options or LoadOptions(), broadcast=True)
     return load_checkpoint(runtime, path, abstracts, options)
-
-
-class LoadHandle:
-    def __init__(self, fn):
-        self._result: Any = None
-        self._error: BaseException | None = None
-
-        def body():
-            try:
-                self._result = fn()
-            except BaseException as e:  # noqa: BLE001 - surfaced via wait()
-                self._error = e
-
-        self._thread = threading.Thread(target=body, name="load")
-        self._thread.start()
-
-    def wait(self) -> Any:
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def done(self) -> bool:
-        return not self._thread.is_alive()
 
 
 def load_checkpoint_async(
@@ -622,9 +581,12 @@ def load_checkpoint_async(
     abstracts: Mapping[str, Any] | None = None,
     options: LoadOptions | None = None,
     current_mesh: Mesh | None = None,
-) -> LoadHandle:
-    return LoadHandle(
-        lambda: load_checkpoint(runtime, path, abstracts, options, current_mesh)
+) -> BackgroundTask:
+    """Run :func:`load_checkpoint` in the background; ``wait`` returns its
+    result."""
+    return BackgroundTask(
+        lambda: load_checkpoint(runtime, path, abstracts, options, current_mesh),
+        "load",
     )
 
 
@@ -728,13 +690,9 @@ def conform_flat_tree(
     for path, leaf in targets.items():
         if not isinstance(leaf, AbstractLeaf):
             raise TreeError(f"abstract leaf expected at {path!r}")
-    if mode == STRICT:
-        missing = sorted(set(source) - set(targets))
-        extra = sorted(set(targets) - set(source))
-        if missing or extra:
-            raise StructureMismatchError(
-                "abstract structure does not match", missing, extra
-            )
+    _check_strict_structure(
+        mode, source, targets, "abstract structure does not match"
+    )
     leaves = {
         path: (
             cast_leaf(source[path], target)
@@ -743,4 +701,4 @@ def conform_flat_tree(
         )
         for path, target in targets.items()
     }
-    return _fill_abstract(abstract, leaves, "")
+    return _fill_abstract(abstract, leaves)

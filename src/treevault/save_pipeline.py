@@ -22,8 +22,8 @@ Key layout per checkpoint::
 
 from __future__ import annotations
 
+import copy
 import re
-import threading
 import uuid
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
@@ -38,9 +38,14 @@ from .chunkstore import (
     PER_LEAF,
     ProcessArrayWriter,
 )
-from .coordination import Mode, ProcessContext, SimulatedRuntime
+from .coordination import (
+    BackgroundTask,
+    Mode,
+    ProcessContext,
+    SimulatedRuntime,
+    primary_error,
+)
 from .errors import (
-    BarrierTimeoutError,
     MissingKeyError,
     PreExistingCheckpointError,
     SaveError,
@@ -95,14 +100,19 @@ def check_name(name: str) -> str:
     return name
 
 
-def is_finalized(store: Store, path: str) -> bool:
-    """A checkpoint exists at ``path`` iff its commit marker is visible."""
-    marker = (
+def commit_marker(store: Store) -> str:
+    """The key, relative to a checkpoint, whose presence commits it: the
+    renamed-in global metadata, or the COMMIT indicator written last."""
+    return (
         GLOBAL_METADATA_FILE
         if store.backend.supports_atomic_rename
         else COMMIT_FILE
     )
-    return store.exists(f"{path}/{marker}")
+
+
+def is_finalized(store: Store, path: str) -> bool:
+    """A checkpoint exists at ``path`` iff its commit marker is visible."""
+    return store.exists(f"{path}/{commit_marker(store)}")
 
 
 def storage_meta_for(
@@ -172,7 +182,11 @@ def write_ranges_for_process(
 class _TreeEntry:
     tree: treemodel.Tree
     structure: treemodel.TreeStructureDoc
-    shardings: dict[str, Sharding]
+
+
+# Per array leaf: the leaf, its storage metadata, its sharding descriptor
+# and its sharding.
+_LeafPlan = tuple[DenseArray, ArrayStorageMetadata, Optional[dict], Optional[Sharding]]
 
 
 class _HandlerSaveScope:
@@ -208,15 +222,23 @@ class SaveSession:
         )
         self.tmp_path = self.path  # rename style swaps in a sibling later
         self.phase = "validating"
-        self.error: BaseException | None = None
         self.leader_actions: dict[str, int] = {}
         self.observed_existing: list[str] = []
         self._trees: dict[str, _TreeEntry] = {}
         self._documents: dict[str, Any] = {}
         self._descriptors: list[tuple[str, str]] = []
         self._inline: dict[str, dict[str, dict]] = {}
-        self._leaf_meta: dict[str, tuple[ArrayStorageMetadata, dict | None, Sharding | None]] = {}
+        self._leaf_meta: dict[str, _LeafPlan] = {}
         self._snapshot: dict[str, list[tuple[tuple[Range, ...], np.ndarray]]] = {}
+
+    def view_for(self, store: Store, process_index: int) -> "SaveSession":
+        """This validated session as one worker sees it: the same plan, with
+        the worker's own store, index and snapshot."""
+        view = copy.copy(self)
+        view.store = store
+        view.process_index = process_index
+        view._snapshot = {}
+        return view
 
     def _advance(self, phase: str) -> None:
         if PHASES.index(phase) < PHASES.index(self.phase):
@@ -226,9 +248,7 @@ class SaveSession:
     # -- synchronous phase --------------------------------------------------
 
     def _register_tree(self, name: str, tree: treemodel.Tree) -> None:
-        self._trees[name] = _TreeEntry(
-            tree, treemodel.tree_metadata(tree), {}
-        )
+        self._trees[name] = _TreeEntry(tree, treemodel.tree_metadata(tree))
 
     def _register_document(self, name: str, doc: Any) -> None:
         # JSON round trip both validates and snapshots the document.
@@ -287,42 +307,31 @@ class SaveSession:
                 descriptor = (
                     describe_sharding(sharding) if sharding is not None else None
                 )
-                self._leaf_meta[scoped] = (meta, descriptor, sharding)
+                self._leaf_meta[scoped] = (leaf, meta, descriptor, sharding)
             if inline:
                 self._inline[name] = inline
-            entry.shardings = per_leaf
 
     def check_target_free(self) -> None:
         """The race-sensitive existence check; must precede any creation."""
         self.observed_existing = self.store.list_keys(f"{self.path}/")
-        marker = (
-            GLOBAL_METADATA_FILE
-            if self.commit_style == "rename"
-            else COMMIT_FILE
-        )
-        if f"{self.path}/{marker}" in self.observed_existing:
+        if f"{self.path}/{commit_marker(self.store)}" in self.observed_existing:
             raise PreExistingCheckpointError(
                 f"finalized checkpoint already present at {self.path!r}"
             )
 
     def take_snapshot(self) -> None:
         """Deep-copy exactly the byte ranges this process will write."""
-        for name, entry in self._trees.items():
-            for path, leaf in treemodel.flatten(entry.tree):
-                if not isinstance(leaf, DenseArray):
-                    continue
-                scoped = f"{name}/{path}" if path else name
-                sharding = entry.shardings.get(path)
-                pieces = []
-                for ranges in write_ranges_for_process(
-                    sharding,
-                    leaf.shape,
-                    self.process_index,
-                    self.options.replica_parallel,
-                ):
-                    sel = tuple(slice(o, o + e) for o, e in ranges)
-                    pieces.append((ranges, leaf.data[sel].copy()))
-                self._snapshot[scoped] = pieces
+        for scoped, (leaf, _, _, sharding) in self._leaf_meta.items():
+            pieces = []
+            for ranges in write_ranges_for_process(
+                sharding,
+                leaf.shape,
+                self.process_index,
+                self.options.replica_parallel,
+            ):
+                sel = tuple(slice(o, o + e) for o, e in ranges)
+                pieces.append((ranges, leaf.data[sel].copy()))
+            self._snapshot[scoped] = pieces
         self._advance("snapshotted")
 
     # -- asynchronous phase ---------------------------------------------------
@@ -380,7 +389,7 @@ class SaveSession:
             self.options.target_file_bytes,
         )
         for scoped in sorted(self._leaf_meta):
-            meta, descriptor, _ = self._leaf_meta[scoped]
+            _, meta, descriptor, _ = self._leaf_meta[scoped]
             writer.declare_array(scoped, meta, descriptor)
             pieces = self._snapshot.get(scoped, [])
             if pieces:
@@ -414,40 +423,12 @@ class SaveSession:
             pass
 
 
-class SaveHandle:
-    """Join point for one process's background save phase.
+class SaveHandle(BackgroundTask):
+    """Join point for one process's background save phase."""
 
-    ``wait`` is idempotent and re-raises the deferred failure, if any, on
-    every call.
-    """
-
-    def __init__(self, session: SaveSession):
+    def __init__(self, session: SaveSession, body, sync: bool):
         self.session = session
-        self._thread: threading.Thread | None = None
-
-    def _start(self, body, sync: bool) -> None:
-        if sync:
-            body()
-            return
-        self._thread = threading.Thread(
-            target=body, name=f"save-{self.session.process_index}"
-        )
-        self._thread.start()
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-        if self.session.error is not None:
-            raise self.session.error
-
-    def done(self) -> bool:
-        if self._thread is not None and self._thread.is_alive():
-            return False
-        return True
-
-    @property
-    def phase(self) -> str:
-        return self.session.phase
+        super().__init__(body, f"save-{session.process_index}", sync)
 
 
 class CheckpointSaveHandle:
@@ -465,17 +446,14 @@ class CheckpointSaveHandle:
             except BaseException as e:  # noqa: BLE001 - re-raised below
                 errors.append(e)
         if errors:
-            raise next(
-                (e for e in errors if not isinstance(e, BarrierTimeoutError)),
-                errors[0],
-            )
+            raise primary_error(errors)
 
     def done(self) -> bool:
         return all(h.done() for h in self.handles)
 
     @property
     def phases(self) -> list[str]:
-        return [h.phase for h in self.handles]
+        return [h.session.phase for h in self.handles]
 
     def leader_action_counts(self) -> dict[str, int]:
         totals: dict[str, int] = {}
@@ -513,7 +491,6 @@ def _multi_controller_save(
             + ctx.leader_broadcast(f"{op}/nonce", payload).decode()
         )
     session.take_snapshot()
-    handle = SaveHandle(session)
 
     def background() -> None:
         try:
@@ -529,14 +506,13 @@ def _multi_controller_save(
                 session._advance("merging")
             ctx.barrier(f"{op}/finalized")
             session._advance("finalized")
-        except BaseException as e:  # noqa: BLE001 - surfaced via wait()
-            session.error = e
+        except BaseException:
             session.phase = "failed"
             if ctx.is_leader:
                 session.cleanup_failed()
+            raise
 
-    handle._start(background, options.sync)
-    return handle
+    return SaveHandle(session, background, options.sync)
 
 
 def _single_controller_save(
@@ -554,41 +530,32 @@ def _single_controller_save(
     session.check_target_free()
     if session.commit_style == "rename":
         session.tmp_path = f"{session.path}.tmp.{uuid.uuid4().hex[:12]}"
-    # Device-to-host copies happen on the workers; each builds and keeps
-    # its own snapshot/session, the controller never holds bulk bytes.
-    worker_sessions: dict[int, SaveSession] = {}
+    # Device-to-host copies happen on the workers; each snapshots into its
+    # own view of the validated session, the controller never holds bulk
+    # bytes.
+    def snapshot_task(ctx: ProcessContext) -> SaveSession:
+        view = session.view_for(ctx.store, ctx.index)
+        view.take_snapshot()
+        return view
 
-    def snapshot_task(ctx: ProcessContext) -> None:
-        ws = SaveSession(
-            ctx.store, ctx.index, runtime.process_count, path, options
-        )
-        ws.validate(checkpointables, shardings)
-        ws.take_snapshot()
-        worker_sessions[ctx.index] = ws
-
-    controller.run_on_workers(snapshot_task)
+    worker_sessions = controller.run_on_workers(snapshot_task)
     session._advance("snapshotted")
-    handle = SaveHandle(session)
 
     def background() -> None:
         try:
             session.create_location()
             session.write_global_metadata()
-            for ws in worker_sessions.values():
-                ws.tmp_path = session.tmp_path
-
             controller.run_on_workers(
                 lambda ctx: worker_sessions[ctx.index].write_phase()
             )
             session._advance("writing")
             session.finalize_phase()
-        except BaseException as e:  # noqa: BLE001 - surfaced via wait()
-            session.error = e
+        except BaseException:
             session.phase = "failed"
             session.cleanup_failed()
+            raise
 
-    handle._start(background, options.sync)
-    return handle
+    return SaveHandle(session, background, options.sync)
 
 
 def save_checkpoint(

@@ -8,9 +8,8 @@ even segmenting used to spread replicated writes.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DivisibilityError, ShardingError, TopologyError
@@ -123,10 +122,6 @@ class PartitionSpec:
         return cls(tuple(entries))
 
 
-def replicated_spec(rank: int) -> PartitionSpec:
-    return PartitionSpec((None,) * rank)
-
-
 @dataclass(frozen=True)
 class Sharding:
     mesh: Mesh
@@ -186,10 +181,6 @@ class Shard:
     @property
     def extents(self) -> tuple[int, ...]:
         return tuple(e for _, e in self.ranges)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.extents)
 
 
 @dataclass(frozen=True)
@@ -339,35 +330,3 @@ def validate_topology(saved: dict, current: Mesh) -> None:
                 f"{current_doc[key]!r}; supply an abstract state with target "
                 "shardings to load onto a different topology"
             )
-
-
-def _ranges_overlap(a: tuple[Range, ...], b: tuple[Range, ...]) -> bool:
-    return all(
-        ao < bo + be and bo < ao + ae
-        for (ao, ae), (bo, be) in zip(a, b)
-        if ae and be
-    ) and all(e for _, e in a) and all(e for _, e in b)
-
-
-def all_ranges_cover(
-    shards: list[tuple[Range, ...]], global_shape: tuple[int, ...]
-) -> bool:
-    """True iff the ranges tile the index space exactly once.
-
-    Rectangles within bounds, pairwise disjoint, and with volumes summing
-    to the full index space must tile it.
-    """
-    total = 0
-    for ranges in shards:
-        if len(ranges) != len(global_shape):
-            return False
-        for (o, e), g in zip(ranges, global_shape):
-            if o < 0 or e < 0 or o + e > g:
-                return False
-        total += math.prod(e for _, e in ranges)
-    if total != math.prod(global_shape):
-        return False
-    dedup = [r for r in shards if all(e for _, e in r)]
-    return not any(
-        _ranges_overlap(a, b) for a, b in itertools.combinations(dedup, 2)
-    )

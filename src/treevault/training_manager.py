@@ -27,6 +27,7 @@ from .save_pipeline import (
     CheckpointSaveHandle,
     GLOBAL_METADATA_FILE,
     SaveOptions,
+    commit_marker,
     save_checkpoint,
 )
 from .sharding import Mesh, Sharding
@@ -102,19 +103,11 @@ class StepCatalog:
                 self.steps[step] = True
 
 
-def _finality_marker(store: Store) -> str:
-    return (
-        GLOBAL_METADATA_FILE
-        if store.backend.supports_atomic_rename
-        else COMMIT_FILE
-    )
-
-
 def scan_steps(store: Store, root: str) -> dict[int, bool]:
     """One listing; finality derived from the same listing's marker keys."""
     catalog = StepCatalog(root)
     catalog.rebuild_from_listing(
-        store.list_keys(f"{catalog.root}/"), _finality_marker(store)
+        store.list_keys(f"{catalog.root}/"), commit_marker(store)
     )
     return dict(catalog.steps)
 
@@ -286,15 +279,15 @@ class Checkpointer:
         racing an in-flight save.
         """
         keys = self._store.list_keys(f"{self.root}/")
-        marker = _finality_marker(self._store)
-        prefixes: set[str] = set()
-        for key in keys:
-            first = key[len(self.root) + 1 :].split("/", 1)[0]
-            if _TMP_DIR_RE.match(first):
-                prefixes.add(f"{self.root}/{first}")
-            elif _STEP_DIR_RE.match(first):
-                if f"{self.root}/{first}/{marker}" not in keys:
-                    prefixes.add(f"{self.root}/{first}")
+        catalog = StepCatalog(self.root)
+        catalog.rebuild_from_listing(keys, commit_marker(self._store))
+        prefixes = {
+            self.step_path(step) for step, done in catalog.steps.items() if not done
+        }
+        top_dirs = {key[len(self.root) + 1 :].split("/", 1)[0] for key in keys}
+        prefixes.update(
+            f"{self.root}/{d}" for d in top_dirs if _TMP_DIR_RE.match(d)
+        )
         swept = []
         now = time.time()
         for prefix in sorted(prefixes):

@@ -83,12 +83,6 @@ class Scalar:
     def to_array(self) -> DenseArray:
         return DenseArray(self.dtype, np.array(self.value, numpy_dtype(self.dtype)))
 
-    @classmethod
-    def from_array(cls, arr: DenseArray) -> "Scalar":
-        if arr.shape != ():
-            raise CastError(f"cannot scalarize array of shape {arr.shape}")
-        return cls(arr.dtype, arr.data[()].item())
-
 
 @dataclass(frozen=True)
 class Text:
@@ -387,19 +381,16 @@ def abstract_leaf_of(leaf: Leaf, sharding: Sharding | None = None) -> AbstractLe
     raise TreeError(f"cannot abstract leaf {leaf!r}")
 
 
-def abstract_of(
-    tree: Tree, sharding_map: dict[str, Sharding] | None = None
-) -> AbstractTree:
-    """Replace every leaf by its AbstractLeaf, attaching shardings by path."""
-    sharding_map = dict(sharding_map or {})
-    paths = {p for p, _ in flatten(tree)}
-    unknown = set(sharding_map) - paths
-    if unknown:
-        raise TreeError(f"sharding map names unknown leaf paths: {sorted(unknown)}")
+def map_leaves(fn: Callable[[str, Any], Any], tree: Tree) -> Tree:
+    """Rebuild ``tree`` with each leaf replaced by ``fn(path, leaf)``.
 
-    def walk(node: Tree, prefix: str) -> AbstractTree:
+    Container kinds and mapping order are kept; paths are as in
+    :func:`flatten`.
+    """
+
+    def walk(node: Tree, prefix: str) -> Tree:
         if is_leaf(node):
-            return abstract_leaf_of(node, sharding_map.get(prefix))
+            return fn(prefix, node)
         if isinstance(node, dict):
             return {
                 k: walk(v, f"{prefix}/{k}" if prefix else k)
@@ -412,6 +403,20 @@ def abstract_of(
         return tuple(items) if isinstance(node, tuple) else items
 
     return walk(tree, "")
+
+
+def abstract_of(
+    tree: Tree, sharding_map: dict[str, Sharding] | None = None
+) -> AbstractTree:
+    """Replace every leaf by its AbstractLeaf, attaching shardings by path."""
+    sharding_map = dict(sharding_map or {})
+    paths = {p for p, _ in flatten(tree)}
+    unknown = set(sharding_map) - paths
+    if unknown:
+        raise TreeError(f"sharding map names unknown leaf paths: {sorted(unknown)}")
+    return map_leaves(
+        lambda path, leaf: abstract_leaf_of(leaf, sharding_map.get(path)), tree
+    )
 
 
 def _convert_values(values: np.ndarray, src: str, dst: str) -> np.ndarray:
@@ -497,12 +502,6 @@ def tree_equal(a: Tree, b: Tree) -> bool:
     return len(a) == len(b) and all(tree_equal(x, y) for x, y in zip(a, b))
 
 
-def tree_nbytes(tree: Tree) -> int:
-    return sum(
-        leaf.nbytes for _, leaf in flatten(tree) if isinstance(leaf, DenseArray)
-    )
-
-
 def leaf_to_inline(leaf: Leaf) -> dict:
     """JSON form for small host-resident leaves (scalars, text)."""
     if isinstance(leaf, Scalar):
@@ -528,22 +527,17 @@ def inline_to_leaf(doc: dict) -> Leaf:
 
 
 class CheckpointableHandler(abc.ABC):
-    """Serialization strategy for one named checkpointable.
+    """Save strategy for one named checkpointable.
 
-    A handler must be able to load from the abstract value derived from its
-    own metadata, for any checkpoint it saved.
+    ``save`` hands the value to the save scope as a tree or a document. The
+    handler id is recorded in the checkpoint's global metadata, and the
+    load path dispatches on that recorded id.
     """
 
     handler_id: ClassVar[str]
 
     @abc.abstractmethod
     def save(self, value: Any, scope: Any) -> None: ...
-
-    @abc.abstractmethod
-    def load(self, abstract: Any, scope: Any) -> Any: ...
-
-    @abc.abstractmethod
-    def metadata(self, scope: Any) -> Any: ...
 
 
 class TreeHandler(CheckpointableHandler):
@@ -553,12 +547,6 @@ class TreeHandler(CheckpointableHandler):
 
     def save(self, value, scope):
         scope.write_tree(as_tree(value))
-
-    def load(self, abstract, scope):
-        return scope.read_tree(abstract)
-
-    def metadata(self, scope):
-        return scope.tree_abstract()
 
 
 @dataclass(frozen=True)
@@ -575,12 +563,6 @@ class DocumentHandler(CheckpointableHandler):
         obj = value.obj if isinstance(value, JsonDocument) else value
         scope.write_document(obj)
 
-    def load(self, abstract, scope):
-        return scope.read_document()
-
-    def metadata(self, scope):
-        return scope.read_document()
-
 
 def is_stateful_checkpointable(obj: Any) -> bool:
     save = getattr(obj, "save", None)
@@ -595,17 +577,6 @@ class StatefulHandler(CheckpointableHandler):
 
     def save(self, value, scope):
         scope.write_document(value.save())
-
-    def load(self, abstract, scope):
-        if not is_stateful_checkpointable(abstract):
-            raise TreeError(
-                "loading a stateful checkpointable requires the object itself"
-            )
-        abstract.load(scope.read_document())
-        return abstract
-
-    def metadata(self, scope):
-        return scope.read_document()
 
 
 HANDLERS: dict[str, CheckpointableHandler] = {

@@ -12,12 +12,16 @@ from treevault import (
     load_checkpoint,
     save_checkpoint,
 )
+from treevault.chunkstore import AGGREGATED, PER_LEAF
 from treevault.cli import main
 from treevault.treemodel import as_tree
 
 
 @pytest.fixture
-def fs_checkpoint(tmp_path):
+def fs_checkpoint(tmp_path, request):
+    """A two-process checkpoint on disk, per-leaf unless a test picks the
+    layout by indirect parametrization."""
+    layout = getattr(request, "param", PER_LEAF)
     backend = FilesystemBackend(tmp_path)
     rt = make_runtime(backend, 2)
     mesh = simple_mesh(2, 2)
@@ -28,7 +32,9 @@ def fs_checkpoint(tmp_path):
         }
     )
     shardings = {"model": {"w": sharded(mesh, (8, 4), "data")}}
-    save_checkpoint(rt, "run/step_00000000", {"model": tree}, shardings).wait()
+    save_checkpoint(
+        rt, "run/step_00000000", {"model": tree}, shardings, SaveOptions(layout=layout)
+    ).wait()
     return tmp_path, backend, tree
 
 
@@ -65,11 +71,30 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "run/step_00000000")]) == 0
         assert capsys.readouterr().out.startswith("ok:")
 
-    def test_deleted_chunk_detected(self, fs_checkpoint, capsys):
+    @pytest.mark.parametrize(
+        "fs_checkpoint, damage",
+        [
+            (layout, damage)
+            for layout in (PER_LEAF, AGGREGATED)
+            for damage in ("delete", "truncate")
+        ],
+        indirect=["fs_checkpoint"],
+    )
+    def test_damaged_chunk_detected(self, fs_checkpoint, damage, capsys):
         tmp_path, _, _ = fs_checkpoint
-        victim = next((tmp_path / "run/step_00000000").rglob("c.*"))
-        victim.unlink()
-        code = main(["validate", str(tmp_path / "run/step_00000000")])
+        ckpt = tmp_path / "run/step_00000000"
+        assert main(["validate", str(ckpt)]) == 0
+        victim = next(
+            p
+            for p in sorted(ckpt.rglob("*"))
+            if p.is_file() and (p.name.startswith("c.") or p.parent.name == "d")
+        )
+        if damage == "delete":
+            victim.unlink()
+        else:
+            victim.write_bytes(victim.read_bytes()[:-4])
+        capsys.readouterr()
+        code = main(["validate", str(ckpt)])
         out = capsys.readouterr().out
         assert code == 1
         assert "model/w" in out

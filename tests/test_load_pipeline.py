@@ -369,6 +369,15 @@ class TestBroadcastLoad:
         bcast = load_with_broadcast(rt, "c/b", {"m": abstract})
         assert tree_equal(plain["m"], bcast["m"])
 
+    def test_caller_options_unchanged(self):
+        backend, rt, data, abstract = self._setup(2)
+        options = LoadOptions()
+        base = backend.counters().payload_bytes_read
+        bcast = load_with_broadcast(rt, "c/b", {"m": abstract}, options)
+        assert options.broadcast is False
+        assert backend.counters().payload_bytes_read - base == data.nbytes
+        assert np.array_equal(bcast["m"]["w"].data, data)
+
     def test_incomplete_group_zero_rejected(self):
         backend, rt, data, _ = self._setup(2)
         mesh = Mesh.create(

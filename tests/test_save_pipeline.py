@@ -152,6 +152,27 @@ class TestMultipleCheckpointables:
         assert out["config"] == {"lr": 0.1, "name": "exp1"}
         assert out["data_iter"] is fresh and fresh.index == 5
 
+    def test_single_controller_calls_save_once(self, backend):
+        class CountingSaves(CountingIterator):
+            save_calls = 0
+
+            def save(self):
+                self.save_calls += 1
+                return super().save()
+
+        rt = make_runtime(backend, 4, mode=Mode.SINGLE_CONTROLLER)
+        iterator = CountingSaves(3)
+        save_checkpoint(
+            rt,
+            "c/s0",
+            {"model": small_tree(), "data_iter": iterator},
+            tree_shardings(simple_mesh(4, 4)),
+        ).wait()
+        assert iterator.save_calls == 1
+        fresh = CountingIterator()
+        load_checkpoint(rt, "c/s0", {"data_iter": fresh})
+        assert fresh.index == 3
+
     def test_checkpointables_separable(self, backend):
         rt = make_runtime(backend, 1)
         mesh = simple_mesh(1, 1)

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     BackendError,
@@ -235,9 +235,8 @@ class StorageBackend(abc.ABC):
         with self._lock:
             return {k: self._get(k) for k in self._list("")}
 
-    def newest_mtime(self, prefix: str) -> float | None:
+    def newest_mtime(self, keys: Iterable[str]) -> float | None:
         with self._lock:
-            keys = self._list(prefix)
             return max((self._mtime(k) for k in keys), default=None)
 
 
@@ -393,8 +392,10 @@ class FilesystemBackend(StorageBackend):
             return f.read(length)
 
     def _list(self, prefix: str) -> list[str]:
+        # Only the directory the prefix names can hold matching keys.
+        base = self._path(prefix.rpartition("/")[0])
         out = []
-        for dirpath, _, filenames in os.walk(self.root):
+        for dirpath, _, filenames in os.walk(base):
             for name in filenames:
                 rel = os.path.relpath(os.path.join(dirpath, name), self.root)
                 key = rel.replace(os.sep, "/")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -45,6 +46,14 @@ DEFAULT_TARGET_FILE_BYTES = 64 * 1024 * 1024
 ARRAY_METADATA_FILE = "array_metadata.json"
 MANIFEST_FILE = "manifest.json"
 DATA_DIR = "d"
+FORMAT_VERSION = 1
+
+PROCESS_DIR_RE = re.compile(r"process_(\d+)$")
+
+
+def process_dir(prefix: str, process: int) -> str:
+    """The directory holding one process's chunks and array metadata."""
+    return f"{prefix}/process_{process}"
 
 
 def _divides(part: int, whole: int) -> bool:
@@ -220,7 +229,7 @@ def chunk_location(
     A per-leaf chunk is a whole object (offset 0); an aggregated chunk sits
     at offset ``loc["o"]`` inside a data file of its process.
     """
-    pdir = f"{prefix}/process_{loc['p']}"
+    pdir = process_dir(prefix, loc["p"])
     if "f" in loc:
         return f"{pdir}/{DATA_DIR}/{loc['f']}", loc["o"]
     return f"{pdir}/{chunk_object_key(leaf_path, ck)}", 0
@@ -448,7 +457,7 @@ class ProcessArrayWriter:
                 docio.dumps_canonical(manifest.to_json()),
             )
         doc = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "layout": self._layout,
             "arrays": {
                 leaf: {
@@ -605,7 +614,7 @@ def merge_process_indices(
     metas: dict[str, ArrayStorageMetadata] = {}
     leaf_sets: list[set[str]] = []
     for p in range(process_count):
-        pdir = f"{prefix}/process_{p}"
+        pdir = process_dir(prefix, p)
         try:
             doc = docio.loads(
                 store.get(f"{pdir}/{ARRAY_METADATA_FILE}"),
@@ -673,7 +682,7 @@ def merge_process_indices(
                 f"{leaf!r} has {len(entry['chunks'])} of {expected} chunks"
             )
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "layout": layout or PER_LEAF,
         "arrays": arrays,
     }

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import chunkstore
 from .backend import Store, make_backend
 from .coordination import Mode, SimulatedRuntime
 from .dtypes import numpy_dtype
-from .errors import LoadError, MissingKeyError, StepError, TreevaultError
+from .errors import LoadError, MissingKeyError, TreevaultError
 from .load_pipeline import (
     LoadOptions,
     checkpoint_metadata,
@@ -31,7 +32,7 @@ from .save_pipeline import SaveOptions, save_checkpoint
 from .sharding import Mesh, PartitionSpec, Sharding
 from .training_manager import Checkpointer, RetentionPolicy
 from .treemodel import (
-    AbstractLeaf,
+    TREE,
     DenseArray,
     abstract_of,
     flatten,
@@ -111,9 +112,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     rows = []
-    for name, handler in meta.checkpointables():
-        if handler != "tree":
-            rows.append((name, handler, "-", "-", "-", "-", "-"))
+    for name, kind in meta.checkpointables():
+        if kind != TREE:
+            rows.append((name, kind, "-", "-", "-", "-", "-"))
             continue
         structure = meta.structure(name)
         for leaf_path, leaf_meta in structure.leaf_entries():
@@ -162,9 +163,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def _process_count_of(store: Store, path: str) -> int:
     indices = set()
     for key in store.list_keys(f"{path}/"):
-        first = key[len(path) + 1 :].split("/", 1)[0]
-        if first.startswith("process_") and first[8:].isdigit():
-            indices.add(int(first[8:]))
+        m = chunkstore.PROCESS_DIR_RE.match(key[len(path) + 1 :].split("/", 1)[0])
+        if m:
+            indices.add(int(m.group(1)))
     return max(indices) + 1 if indices else 0
 
 
@@ -237,19 +238,21 @@ def _target_mesh(
     return Mesh.create(axes, process_count=processes, replica_axis=replica_axis)
 
 
-def _spec_for_rank(
-    mesh: Mesh, partitions: tuple[int, ...], rank: int
-) -> PartitionSpec:
-    entries: list[str | None] = []
-    for dim in range(rank):
-        entries.append(f"p{dim}" if dim < len(partitions) else None)
-    return PartitionSpec(tuple(entries))
+def _sharding_for(
+    mesh: Mesh, partitions: tuple[int, ...], shape: tuple[int, ...]
+) -> Sharding:
+    """Dimension i partitioned over mesh axis ``p<i>`` for each given
+    partition count, the rest replicated; checked for divisibility."""
+    entries = [f"p{d}" if d < len(partitions) else None for d in range(len(shape))]
+    sharding = Sharding(mesh, PartitionSpec(tuple(entries)), shape)
+    sharding.check_divisible()
+    return sharding
 
 
 def _reshard_abstracts(meta, mesh, partitions, select):
     abstracts = {}
-    for name, handler in meta.checkpointables():
-        if handler != "tree":
+    for name, kind in meta.checkpointables():
+        if kind != TREE:
             continue
         flat = flatten(meta.abstract_tree(name))
         if select:
@@ -264,10 +267,8 @@ def _reshard_abstracts(meta, mesh, partitions, select):
         resharded = {}
         for leaf_path, leaf in flat:
             if leaf.variant == "array":
-                spec = _spec_for_rank(mesh, partitions, len(leaf.shape))
-                sharding = Sharding(mesh, spec, leaf.shape)
-                sharding.check_divisible()
-                leaf = AbstractLeaf(leaf.variant, leaf.shape, leaf.dtype, sharding)
+                sharding = _sharding_for(mesh, partitions, leaf.shape)
+                leaf = replace(leaf, sharding=sharding)
                 shardings[leaf_path] = sharding
             resharded[leaf_path] = leaf
         if select:
@@ -304,17 +305,11 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         trees = {"model": flat_tree}
         shardings = {
             "model": {
-                p: Sharding(
-                    mesh,
-                    _spec_for_rank(mesh, args.partitions, len(leaf.shape)),
-                    leaf.shape,
-                )
+                p: _sharding_for(mesh, args.partitions, leaf.shape)
                 for p, leaf in flatten(flat_tree)
                 if isinstance(leaf, DenseArray)
             }
         }
-        for s in shardings["model"].values():
-            s.check_divisible()
     else:
         src_store, src_path = _resolve_target(args.backend, args.src)
         src_runtime = SimulatedRuntime(
@@ -630,9 +625,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StepError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return OPERATION_ERROR
     except TreevaultError as e:
         print(f"error: {e}", file=sys.stderr)
         return OPERATION_ERROR

@@ -53,13 +53,16 @@ from .sharding import (
     sharding_from_descriptor,
 )
 from .treemodel import (
+    DOCUMENT,
     PLACEHOLDER,
+    STATEFUL,
     AbstractLeaf,
     AbstractTree,
     DenseArray,
     Leaf,
     Tree,
     TreeStructureDoc,
+    abstract_leaf_from_meta,
     cast_leaf,
     inline_to_leaf,
     is_stateful_checkpointable,
@@ -134,6 +137,7 @@ class CheckpointMetadata:
                     )
 
     def checkpointables(self) -> list[tuple[str, str]]:
+        """(name, kind) pairs, as recorded at save time."""
         return [
             (c["name"], c["handler"]) for c in self.doc.get("checkpointables", [])
         ]
@@ -156,24 +160,13 @@ class CheckpointMetadata:
     def storage_meta(self, scoped: str) -> ArrayStorageMetadata:
         return ArrayStorageMetadata.from_json(self.array_entry(scoped))
 
-    def sharding_descriptor(self, scoped: str) -> dict | None:
-        return self.array_entry(scoped).get("sharding")
-
     def abstract_tree(self, name: str) -> AbstractTree:
         """Structure-and-properties view of one tree checkpointable."""
         structure = self.structure(name)
         if structure is None:
             raise LoadError(f"checkpointable {name!r} has no tree structure")
 
-        def lookup(path: str) -> AbstractLeaf:
-            meta = dict(structure.leaf_entries())[path]
-            if meta["variant"] == "array":
-                return AbstractLeaf("array", tuple(meta["shape"]), meta["dtype"])
-            if meta["variant"] == "scalar":
-                return AbstractLeaf("scalar", dtype=meta["dtype"])
-            return AbstractLeaf("text")
-
-        return structure.reconstruct(lookup)
+        return structure.build(lambda _, meta: abstract_leaf_from_meta(meta))
 
 
 def checkpoint_metadata(store: Store, path: str) -> CheckpointMetadata:
@@ -206,18 +199,14 @@ def _resolve_target(
     abstract_leaf: AbstractLeaf | None, source_meta: dict
 ) -> AbstractLeaf:
     """Fill unspecified target properties from the source leaf metadata."""
-    variant = source_meta["variant"]
-    shape = tuple(source_meta["shape"]) if variant == "array" else None
-    dtype = source_meta.get("dtype")
+    source = abstract_leaf_from_meta(source_meta)
     if abstract_leaf is None:
-        return AbstractLeaf(variant, shape, dtype)
-    return AbstractLeaf(
-        abstract_leaf.variant,
-        abstract_leaf.shape if abstract_leaf.shape is not None else (
-            shape if abstract_leaf.variant == "array" else None
-        ),
-        abstract_leaf.dtype or dtype,
-        abstract_leaf.sharding,
+        return source
+    shape = abstract_leaf.shape
+    if shape is None and abstract_leaf.variant == "array":
+        shape = source.shape
+    return replace(
+        abstract_leaf, shape=shape, dtype=abstract_leaf.dtype or source.dtype
     )
 
 
@@ -263,11 +252,11 @@ def build_plan(
     skeletons: dict[str, Any] = {}
     documents: dict[str, Any] = {}
     for name, abstract in requested.items():
-        handler = available.get(name)
-        if handler in ("json", "stateful"):
+        kind = available.get(name)
+        if kind in (DOCUMENT, STATEFUL):
             documents[name] = abstract
             continue
-        if handler is None:
+        if kind is None:
             # Partial mode: a whole checkpointable made of placeholders.
             if abstract is None or is_stateful_checkpointable(abstract):
                 raise StructureMismatchError(
@@ -314,12 +303,7 @@ def build_plan(
                         path,
                         scoped,
                         "placeholder",
-                        AbstractLeaf(
-                            target.variant,
-                            target.shape,
-                            target.dtype,
-                            placeholder=True,
-                        ),
+                        replace(target, sharding=None, placeholder=True),
                     )
                 )
                 continue
@@ -328,7 +312,7 @@ def build_plan(
             if source_meta["variant"] == "array":
                 storage = meta.storage_meta(scoped)
                 if target.sharding is None and abstract is None:
-                    descriptor = meta.sharding_descriptor(scoped)
+                    descriptor = meta.array_entry(scoped).get("sharding")
                     if descriptor is not None:
                         if current_mesh is None:
                             raise LoadError(
@@ -336,11 +320,11 @@ def build_plan(
                                 "state requires the current mesh for "
                                 "topology validation"
                             )
-                        target = AbstractLeaf(
-                            target.variant,
-                            target.shape,
-                            target.dtype,
-                            sharding_from_descriptor(descriptor, current_mesh),
+                        target = replace(
+                            target,
+                            sharding=sharding_from_descriptor(
+                                descriptor, current_mesh
+                            ),
                         )
                 directive = LoadDirective(
                     name,

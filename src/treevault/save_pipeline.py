@@ -23,7 +23,6 @@ Key layout per checkpoint::
 from __future__ import annotations
 
 import copy
-import re
 import uuid
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
@@ -35,8 +34,11 @@ from .backend import Store
 from .chunkstore import (
     ArrayStorageMetadata,
     DEFAULT_TARGET_FILE_BYTES,
+    FORMAT_VERSION,
     PER_LEAF,
+    PROCESS_DIR_RE,
     ProcessArrayWriter,
+    process_dir,
 )
 from .coordination import (
     BackgroundTask,
@@ -61,13 +63,12 @@ from .sharding import (
     shards_of,
     unique_shards_for_process,
 )
-from .treemodel import DenseArray, Scalar, Text, resolve_handler
+from .treemodel import DOCUMENT, TREE, DenseArray, Scalar, Text
 
 GLOBAL_METADATA_FILE = "global_metadata.json"
 MERGED_INDEX_FILE = "merged_index.json"
 COMMIT_FILE = "COMMIT"
 DOCUMENT_FILE = "data.json"
-FORMAT_VERSION = 1
 
 _RESERVED_NAMES = {
     GLOBAL_METADATA_FILE,
@@ -77,7 +78,6 @@ _RESERVED_NAMES = {
     chunkstore.MANIFEST_FILE,
     chunkstore.DATA_DIR,
 }
-_PROCESS_DIR_RE = re.compile(r"process_\d+$")
 
 PHASES = ("validating", "snapshotted", "writing", "merging", "finalized", "failed")
 
@@ -95,7 +95,7 @@ class SaveOptions:
 def check_name(name: str) -> str:
     if not name or "/" in name:
         raise TreeError(f"checkpointable name {name!r} must be non-empty, no '/'")
-    if name in _RESERVED_NAMES or _PROCESS_DIR_RE.match(name):
+    if name in _RESERVED_NAMES or PROCESS_DIR_RE.match(name):
         raise TreeError(f"checkpointable name {name!r} is reserved")
     return name
 
@@ -113,6 +113,21 @@ def commit_marker(store: Store) -> str:
 def is_finalized(store: Store, path: str) -> bool:
     """A checkpoint exists at ``path`` iff its commit marker is visible."""
     return store.exists(f"{path}/{commit_marker(store)}")
+
+
+def temp_path(path: str) -> str:
+    """A fresh ``.tmp.<nonce>`` sibling of ``path``: where a rename-style
+    save writes before it is renamed into place."""
+    return f"{path}.tmp.{uuid.uuid4().hex[:12]}"
+
+
+def delete_checkpoint(store: Store, path: str) -> None:
+    """Delete every key under ``path``, commit markers first, so a crash
+    mid-deletion leaves no half checkpoint that still looks finalized."""
+    markers = (f"{path}/{GLOBAL_METADATA_FILE}", f"{path}/{COMMIT_FILE}")
+    keys = store.list_keys(f"{path}/")
+    for key in sorted(keys, key=lambda k: (k not in markers, k)):
+        store.delete(key)
 
 
 def storage_meta_for(
@@ -189,18 +204,6 @@ class _TreeEntry:
 _LeafPlan = tuple[DenseArray, ArrayStorageMetadata, Optional[dict], Optional[Sharding]]
 
 
-class _HandlerSaveScope:
-    def __init__(self, session: "SaveSession", name: str):
-        self._session = session
-        self.name = name
-
-    def write_tree(self, tree: treemodel.Tree) -> None:
-        self._session._register_tree(self.name, tree)
-
-    def write_document(self, doc: Any) -> None:
-        self._session._register_document(self.name, doc)
-
-
 class SaveSession:
     """State machine of one in-flight save on one process (or controller)."""
 
@@ -247,13 +250,6 @@ class SaveSession:
 
     # -- synchronous phase --------------------------------------------------
 
-    def _register_tree(self, name: str, tree: treemodel.Tree) -> None:
-        self._trees[name] = _TreeEntry(tree, treemodel.tree_metadata(tree))
-
-    def _register_document(self, name: str, doc: Any) -> None:
-        # JSON round trip both validates and snapshots the document.
-        self._documents[name] = docio.loads(docio.dumps_canonical(doc))
-
     def validate(
         self,
         checkpointables: Mapping[str, Any],
@@ -268,9 +264,15 @@ class SaveSession:
         for name in checkpointables:
             check_name(name)
         for name, value in sorted(checkpointables.items()):
-            handler = resolve_handler(value)
-            self._descriptors.append((name, handler.handler_id))
-            handler.save(value, _HandlerSaveScope(self, name))
+            kind = treemodel.checkpointable_kind(value)
+            self._descriptors.append((name, kind))
+            if kind == TREE:
+                tree = treemodel.as_tree(value)
+                self._trees[name] = _TreeEntry(tree, treemodel.tree_metadata(tree))
+                continue
+            doc = value.obj if kind == DOCUMENT else value.save()
+            # JSON round trip both validates and snapshots the document.
+            self._documents[name] = docio.loads(docio.dumps_canonical(doc))
         for name, entry in self._trees.items():
             per_leaf = dict(shardings.get(name, {}))
             flat = dict(treemodel.flatten(entry.tree))
@@ -363,8 +365,7 @@ class SaveSession:
         existence check already ran on every process).
         """
         if self.commit_style == "indicator":
-            for key in self.store.list_keys(f"{self.path}/"):
-                self.store.delete(key)
+            delete_checkpoint(self.store, self.path)
         self._count_leader_action("create_location")
 
     def write_global_metadata(self) -> None:
@@ -384,16 +385,15 @@ class SaveSession:
         self._advance("writing")
         writer = ProcessArrayWriter(
             self.store,
-            f"{self.tmp_path}/process_{self.process_index}",
+            process_dir(self.tmp_path, self.process_index),
             self.options.layout,
             self.options.target_file_bytes,
         )
         for scoped in sorted(self._leaf_meta):
             _, meta, descriptor, _ = self._leaf_meta[scoped]
-            writer.declare_array(scoped, meta, descriptor)
-            pieces = self._snapshot.get(scoped, [])
-            if pieces:
-                writer.write_array(scoped, pieces, meta, descriptor)
+            writer.write_array(
+                scoped, self._snapshot.get(scoped, []), meta, descriptor
+            )
         return writer.finish()
 
     def finalize_phase(self) -> None:
@@ -417,8 +417,7 @@ class SaveSession:
         if self.options.keep_temp_on_failure:
             return
         try:
-            for key in self.store.list_keys(f"{self.tmp_path}/"):
-                self.store.delete(key)
+            delete_checkpoint(self.store, self.tmp_path)
         except (SimulatedCrashError, MissingKeyError):
             pass
 
@@ -484,12 +483,8 @@ def _multi_controller_save(
     # for a previous checkpoint.
     ctx.barrier(f"{op}/validated")
     if session.commit_style == "rename":
-        nonce = uuid.uuid4().hex[:12] if ctx.is_leader else None
-        payload = nonce.encode() if nonce else None
-        session.tmp_path = (
-            f"{session.path}.tmp."
-            + ctx.leader_broadcast(f"{op}/nonce", payload).decode()
-        )
+        payload = temp_path(session.path).encode() if ctx.is_leader else None
+        session.tmp_path = ctx.leader_broadcast(f"{op}/nonce", payload).decode()
     session.take_snapshot()
 
     def background() -> None:
@@ -529,7 +524,7 @@ def _single_controller_save(
     session.validate(checkpointables, shardings)
     session.check_target_free()
     if session.commit_style == "rename":
-        session.tmp_path = f"{session.path}.tmp.{uuid.uuid4().hex[:12]}"
+        session.tmp_path = temp_path(session.path)
     # Device-to-host copies happen on the workers; each snapshots into its
     # own view of the validated session, the controller never holds bulk
     # bytes.

@@ -23,11 +23,10 @@ from .coordination import Mode, SimulatedRuntime
 from .errors import BackendError, GarbageCollectionError, StepError, TreevaultError
 from .load_pipeline import LoadOptions, load_checkpoint
 from .save_pipeline import (
-    COMMIT_FILE,
     CheckpointSaveHandle,
-    GLOBAL_METADATA_FILE,
     SaveOptions,
     commit_marker,
+    delete_checkpoint,
     save_checkpoint,
 )
 from .sharding import Mesh, Sharding
@@ -88,19 +87,22 @@ class StepCatalog:
         done = self.finalized_steps()
         return done[-1] if done else None
 
-    def rebuild_from_listing(self, keys: list[str], finality_marker: str) -> None:
-        self.steps.clear()
-        prefix_len = len(self.root) + 1
+    def rebuild_from_listing(
+        self, keys: list[str], finality_marker: str
+    ) -> dict[str, list[str]]:
+        """Take the steps from one listing under the root; returns the
+        listed keys grouped by top-level directory."""
+        by_dir: dict[str, list[str]] = {}
         for key in keys:
-            rest = key[prefix_len:]
-            first = rest.split("/", 1)[0]
-            m = _STEP_DIR_RE.match(first)
-            if not m:
-                continue
-            step = int(m.group(1))
-            self.steps.setdefault(step, False)
-            if rest == f"{first}/{finality_marker}":
-                self.steps[step] = True
+            top = key[len(self.root) + 1 :].split("/", 1)[0]
+            by_dir.setdefault(top, []).append(key)
+        self.steps.clear()
+        for top, dir_keys in by_dir.items():
+            m = _STEP_DIR_RE.match(top)
+            if m:
+                marker = f"{self.root}/{top}/{finality_marker}"
+                self.steps[int(m.group(1))] = marker in dir_keys
+        return by_dir
 
 
 def scan_steps(store: Store, root: str) -> dict[int, bool]:
@@ -118,9 +120,9 @@ def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
     In multi-controller mode the listing runs on the leader only and the
     result is broadcast; followers touch no storage.
     """
-    steps = _collective_scan(runtime, root)
-    done = [s for s, ok in steps.items() if ok]
-    return max(done) if done else None
+    catalog = StepCatalog(root)
+    catalog.steps = _collective_scan(runtime, root)
+    return catalog.latest_finalized()
 
 
 def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
@@ -174,7 +176,14 @@ class Checkpointer:
         return self._catalog.finalized_steps()
 
     def latest_step(self) -> int | None:
-        return latest_step(self.runtime, self.root)
+        """Highest finalized step in the catalog, without touching storage.
+
+        The catalog is filled at construction, by :meth:`refresh` and by
+        each :meth:`wait`; steps finalized by another writer are seen only
+        after :meth:`refresh`. The module-level :func:`latest_step` always
+        scans storage.
+        """
+        return self._catalog.latest_finalized()
 
     def step_path(self, step: int) -> str:
         return f"{self.root}/{step_dir_name(step)}"
@@ -250,7 +259,7 @@ class Checkpointer:
             if step in keep:
                 continue
             try:
-                self._delete_prefix(self.step_path(step))
+                delete_checkpoint(self._store, self.step_path(step))
             except (BackendError, TreevaultError) as e:
                 failures[step] = e
                 continue
@@ -260,17 +269,6 @@ class Checkpointer:
             raise GarbageCollectionError(failures)
         return deleted
 
-    def _delete_prefix(self, prefix: str) -> None:
-        keys = self._store.list_keys(f"{prefix}/")
-        markers = (
-            f"{prefix}/{GLOBAL_METADATA_FILE}",
-            f"{prefix}/{COMMIT_FILE}",
-        )
-        # De-finalize first so a crash mid-deletion leaves no half step
-        # that still looks loadable.
-        for key in sorted(keys, key=lambda k: (k not in markers, k)):
-            self._store.delete(key)
-
     def sweep_tmp(self, max_age_seconds: float = 0.0) -> list[str]:
         """Explicitly remove temp locations of dead saves.
 
@@ -278,21 +276,18 @@ class Checkpointer:
         older than ``max_age_seconds``; never runs automatically, to avoid
         racing an in-flight save.
         """
-        keys = self._store.list_keys(f"{self.root}/")
         catalog = StepCatalog(self.root)
-        catalog.rebuild_from_listing(keys, commit_marker(self._store))
-        prefixes = {
-            self.step_path(step) for step, done in catalog.steps.items() if not done
-        }
-        top_dirs = {key[len(self.root) + 1 :].split("/", 1)[0] for key in keys}
-        prefixes.update(
-            f"{self.root}/{d}" for d in top_dirs if _TMP_DIR_RE.match(d)
+        by_dir = catalog.rebuild_from_listing(
+            self._store.list_keys(f"{self.root}/"), commit_marker(self._store)
         )
+        dead = {step_dir_name(s) for s, done in catalog.steps.items() if not done}
+        dead.update(d for d in by_dir if _TMP_DIR_RE.match(d))
         swept = []
         now = time.time()
-        for prefix in sorted(prefixes):
-            newest = self._store.backend.newest_mtime(f"{prefix}/")
+        for d in sorted(dead):
+            newest = self._store.backend.newest_mtime(by_dir[d])
             if newest is not None and now - newest >= max_age_seconds:
-                self._delete_prefix(prefix)
+                prefix = f"{self.root}/{d}"
+                delete_checkpoint(self._store, prefix)
                 swept.append(prefix)
         return swept

@@ -1,4 +1,4 @@
-"""Nested checkpoint trees, leaf types, and the checkpointable abstraction.
+"""Nested checkpoint trees, leaf types, and the kinds of checkpointable.
 
 A checkpoint tree is an ordinary nested Python structure (dict / list /
 tuple) whose leaves are :class:`DenseArray`, :class:`Scalar`, or
@@ -8,11 +8,15 @@ from the checkpoint.
 
 Abstract trees mirror the same structure with :class:`AbstractLeaf` leaves
 carrying only properties (shape, dtype, sharding), never element data.
+
+A named checkpointable is of one kind, see :func:`checkpointable_kind`: a
+tree, a :class:`JsonDocument`, or a stateful object with its own
+``save``/``load``. The kind is recorded in the checkpoint and chooses how
+the value is written and read back.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterator, Union
@@ -268,6 +272,13 @@ def _leaf_meta(leaf: Leaf) -> dict:
     raise TreeError(f"cannot describe leaf {leaf!r}")
 
 
+def abstract_leaf_from_meta(meta: dict) -> AbstractLeaf:
+    """The unsharded AbstractLeaf a recorded leaf meta describes."""
+    variant = meta["variant"]
+    shape = tuple(meta["shape"]) if variant == "array" else None
+    return AbstractLeaf(variant, shape, meta.get("dtype"))
+
+
 def _structure_node(tree: Tree) -> dict:
     if is_leaf(tree):
         return {"kind": "leaf", "leaf": _leaf_meta(tree)}
@@ -309,23 +320,31 @@ class TreeStructureDoc:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeStructureDoc) and self.root == other.root
 
+    def build(self, leaf_fn: Callable[[str, dict], Any]) -> Tree:
+        """Rebuild the exact skeleton with each leaf replaced by
+        ``leaf_fn(path, leaf meta)``, called in flatten order."""
+
+        def walk(node: dict, prefix: str) -> Tree:
+            if node["kind"] == "leaf":
+                return leaf_fn(prefix, node["leaf"])
+            children = node["children"]
+            if node["kind"] == "dict":
+                return {
+                    k: walk(children[k], f"{prefix}/{k}" if prefix else k)
+                    for k in sorted(children)
+                }
+            items = [
+                walk(c, f"{prefix}/{i}" if prefix else str(i))
+                for i, c in enumerate(children)
+            ]
+            return tuple(items) if node["kind"] == "tuple" else items
+
+        return walk(self.root, "")
+
     def leaf_entries(self) -> list[tuple[str, dict]]:
         """(path, leaf meta) pairs in flatten order."""
         out: list[tuple[str, dict]] = []
-
-        def walk(node: dict, prefix: str) -> None:
-            if node["kind"] == "leaf":
-                out.append((prefix, node["leaf"]))
-                return
-            children = node["children"]
-            if node["kind"] == "dict":
-                for key in sorted(children):
-                    walk(children[key], f"{prefix}/{key}" if prefix else key)
-            else:
-                for i, child in enumerate(children):
-                    walk(child, f"{prefix}/{i}" if prefix else str(i))
-
-        walk(self.root, "")
+        self.build(lambda path, meta: out.append((path, meta)))
         return out
 
     def reconstruct(
@@ -344,23 +363,7 @@ class TreeStructureDoc:
                     f"leaf set mismatch: missing={sorted(paths - known)} "
                     f"extra={sorted(known - paths)}"
                 )
-
-        def build(node: dict, prefix: str) -> Tree:
-            if node["kind"] == "leaf":
-                return leaf_lookup(prefix)
-            children = node["children"]
-            if node["kind"] == "dict":
-                return {
-                    k: build(children[k], f"{prefix}/{k}" if prefix else k)
-                    for k in sorted(children)
-                }
-            items = [
-                build(c, f"{prefix}/{i}" if prefix else str(i))
-                for i, c in enumerate(children)
-            ]
-            return tuple(items) if node["kind"] == "tuple" else items
-
-        return build(self.root, "")
+        return self.build(lambda path, _: leaf_lookup(path))
 
 
 def tree_metadata(tree: Tree) -> TreeStructureDoc:
@@ -526,42 +529,11 @@ def inline_to_leaf(doc: dict) -> Leaf:
     raise TreeError(f"unknown inline leaf variant {doc.get('variant')!r}")
 
 
-class CheckpointableHandler(abc.ABC):
-    """Save strategy for one named checkpointable.
-
-    ``save`` hands the value to the save scope as a tree or a document. The
-    handler id is recorded in the checkpoint's global metadata, and the
-    load path dispatches on that recorded id.
-    """
-
-    handler_id: ClassVar[str]
-
-    @abc.abstractmethod
-    def save(self, value: Any, scope: Any) -> None: ...
-
-
-class TreeHandler(CheckpointableHandler):
-    """Nested trees of (possibly sharded) arrays, scalars, and text."""
-
-    handler_id = "tree"
-
-    def save(self, value, scope):
-        scope.write_tree(as_tree(value))
-
-
 @dataclass(frozen=True)
 class JsonDocument:
     """Wrapper forcing a value to be stored as a single JSON document."""
 
     obj: Any
-
-
-class DocumentHandler(CheckpointableHandler):
-    handler_id = "json"
-
-    def save(self, value, scope):
-        obj = value.obj if isinstance(value, JsonDocument) else value
-        scope.write_document(obj)
 
 
 def is_stateful_checkpointable(obj: Any) -> bool:
@@ -570,26 +542,18 @@ def is_stateful_checkpointable(obj: Any) -> bool:
     return callable(save) and callable(load) and not is_leaf(obj)
 
 
-class StatefulHandler(CheckpointableHandler):
-    """Objects providing their own save() -> state / load(state) methods."""
-
-    handler_id = "stateful"
-
-    def save(self, value, scope):
-        scope.write_document(value.save())
+# Checkpointable kinds, as recorded in a checkpoint's global metadata.
+TREE, DOCUMENT, STATEFUL = "tree", "json", "stateful"
 
 
-HANDLERS: dict[str, CheckpointableHandler] = {
-    h.handler_id: h for h in (TreeHandler(), DocumentHandler(), StatefulHandler())
-}
-
-
-def resolve_handler(value: Any) -> CheckpointableHandler:
+def checkpointable_kind(value: Any) -> str:
+    """How a named checkpointable is saved; loading dispatches on the kind
+    recorded at save time."""
     if isinstance(value, JsonDocument):
-        return HANDLERS["json"]
+        return DOCUMENT
     if is_stateful_checkpointable(value):
-        return HANDLERS["stateful"]
-    return HANDLERS["tree"]
+        return STATEFUL
+    return TREE
 
 
 class CountingIterator:

@@ -1,13 +1,15 @@
 import itertools
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DTYPES
 from oracles import bytes_loaded_oracle, pack_files, slab_contiguous
-from treevault import MemoryBackend
+from treevault import FilesystemBackend, MemoryBackend
 from treevault.chunkstore import (
     AGGREGATED,
     AggregatedManifest,
@@ -23,6 +25,7 @@ from treevault.chunkstore import (
 from treevault.dtypes import numpy_dtype
 from treevault.errors import (
     AlignmentError,
+    BackendError,
     ChunkStoreError,
     ConsistencyError,
     CorruptionError,
@@ -523,3 +526,67 @@ class TestCounters:
         assert done.wait(2.0)
         t.join()
         assert backend.counters().payload_bytes_written == 16
+
+
+class TestFilesystemListing:
+    KEYS = (
+        "run/step_00000001/COMMIT",
+        "run/step_00000001/process_0/w/c.0",
+        "run/step_00000010/global_metadata.json",
+        "run/step_00000001x/a",
+        "other/step_00000001/COMMIT",
+        "top",
+    )
+
+    @pytest.fixture
+    def fs(self, tmp_path):
+        backend = FilesystemBackend(tmp_path / "root")
+        for key in self.KEYS:
+            backend.store().put(key, b"x")
+        return backend
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            "",
+            "run/",
+            "run/step_00000001/",
+            "run/step_0000001",
+            "run/step_0000000",
+            "run/step_00000001/process_0/w/c.0",
+            "to",
+            "missing/",
+            "run/missing",
+            "run/step_00000001/missing/deeper/",
+        ],
+    )
+    def test_matches_full_walk_filter(self, fs, prefix):
+        everything = fs.store().list_keys("")
+        assert sorted(everything) == sorted(self.KEYS)
+        expected = [k for k in everything if k.startswith(prefix)]
+        assert fs.store().list_keys(prefix) == expected
+
+    def test_sibling_directory_never_walked(self, fs, monkeypatch):
+        real_walk = os.walk
+        starts, visited = [], []
+
+        def walk(top, *args, **kwargs):
+            starts.append(Path(top))
+            for entry in real_walk(top, *args, **kwargs):
+                visited.append(Path(entry[0]))
+                yield entry
+
+        monkeypatch.setattr(os, "walk", walk)
+        assert fs.store().list_keys("run/step_0000000") == [
+            "run/step_00000001/COMMIT",
+            "run/step_00000001/process_0/w/c.0",
+            "run/step_00000001x/a",
+        ]
+        assert starts == [fs.root / "run"]
+        assert fs.root / "other" not in visited
+        assert all(fs.root / "run" in (d, *d.parents) for d in visited)
+
+    @pytest.mark.parametrize("prefix", ["../", "run/../other/", "../root/run"])
+    def test_dot_dot_prefix_raises(self, fs, prefix):
+        with pytest.raises(BackendError):
+            fs.store().list_keys(prefix)

@@ -1,15 +1,18 @@
 """Source hygiene: every name a module imports is used in that module.
 
 Package ``__init__.py`` files are skipped (their imports are re-exports),
-and so are ``from __future__`` imports.
+and so are ``from __future__`` imports. The benchmark tracer's targets are
+checked here too, so a renamed binding fails the test suite.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treevault"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "treevault"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -83,3 +86,22 @@ def test_checker_flags_unused_and_spares_used():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Optional (line 3)", "fld (line 4)"]
+
+
+def test_tracer_targets_are_bound_on_their_owners():
+    """perfbench/tracer.py patches ``owner.__dict__[attr]`` for each target,
+    so each must be defined on its owner itself, including names a module
+    imports from another (``save_pipeline.shards_of``)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.wrap_targets()
+    assert len(targets) >= 40
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in targets
+        if attr not in vars(owner)
+    ]
+    assert missing == []

@@ -198,7 +198,50 @@ class TestGarbageCollection:
             assert scan_steps(backend.store(), "root") == cp._catalog.steps
 
 
+class TestCatalogLatestStep:
+    def test_latest_and_load_issue_no_listing(self, backend):
+        rt = make_runtime(backend, 4)
+        cp = Checkpointer(rt, "root", RetentionPolicy(keep_last=10))
+        for step in (0, 5):
+            cp.save_step(step, {"model": tree_for(step)})
+        cp.wait()
+        before = backend.counters().op_count("list")
+        assert cp.latest_step() == 5
+        out = cp.load_step()
+        assert backend.counters().op_count("list") == before
+        assert tree_equal(out["model"], tree_for(5))
+
+    def test_other_writer_seen_after_refresh(self, backend):
+        rt = make_runtime(backend, 1)
+        reader = Checkpointer(rt, "root", RetentionPolicy(keep_last=10))
+        writer = Checkpointer(rt, "root", RetentionPolicy(keep_last=10))
+        writer.save_step(3, {"model": tree_for(3)})
+        writer.wait()
+        assert reader.latest_step() is None
+        assert latest_step(rt, "root") == 3
+        reader.refresh()
+        assert reader.latest_step() == 3
+
+
 class TestSweepTmp:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_listing_supplies_ages(self, backend, monkeypatch, n):
+        rt = make_runtime(backend, 1)
+        cp = Checkpointer(rt, "root", RetentionPolicy(keep_last=5))
+        for step in range(n):
+            backend.store().put(f"root/{step_dir_name(step)}/process_0/w/c.0", b"x")
+        calls = []
+        real_list = MemoryBackend._list
+
+        def counted_list(self, prefix):
+            calls.append(prefix)
+            return real_list(self, prefix)
+
+        monkeypatch.setattr(MemoryBackend, "_list", counted_list)
+        assert len(cp.sweep_tmp(0.0)) == n
+        # One listing of the root, then one per swept directory's deletion.
+        assert len(calls) == n + 1
+
     def test_sweeps_unfinalized_residue(self, backend):
         rt = make_runtime(backend, 1)
         cp = Checkpointer(rt, "root", RetentionPolicy(keep_last=5))

@@ -24,10 +24,12 @@ from treevault import (
 )
 from treevault.errors import CastError, TreeError
 from treevault.treemodel import (
-    HANDLERS,
+    DOCUMENT,
+    STATEFUL,
+    TREE,
+    checkpointable_kind,
     inline_to_leaf,
     leaf_to_inline,
-    resolve_handler,
 )
 
 
@@ -281,10 +283,9 @@ class TestHandlers:
     def test_resolution(self):
         from treevault import JsonDocument
 
-        assert resolve_handler({"a": 1}).handler_id == "tree"
-        assert resolve_handler(JsonDocument({"a": 1})).handler_id == "json"
-        assert resolve_handler(CountingIterator()).handler_id == "stateful"
-        assert set(HANDLERS) == {"tree", "json", "stateful"}
+        assert checkpointable_kind({"a": 1}) == TREE == "tree"
+        assert checkpointable_kind(JsonDocument({"a": 1})) == DOCUMENT == "json"
+        assert checkpointable_kind(CountingIterator()) == STATEFUL == "stateful"
 
     def test_counting_iterator_state(self):
         it = CountingIterator()

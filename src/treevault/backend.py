@@ -5,9 +5,9 @@ Keys are '/'-separated strings. Both backends guarantee atomic per-key puts
 exact, monotonic byte/op counters, attributable to a caller identity via
 :meth:`StorageBackend.store`.
 
-Chunk payload keys (``.../c.<coords>`` objects and ``.../d/<file_id>``
-aggregated data files) are counted separately from metadata keys so tests
-can reason about data traffic with metadata excluded.
+Chunk payload keys (which :func:`chunkstore.is_payload_key` recognises)
+are counted separately from metadata keys so tests can reason about data
+traffic with metadata excluded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
+from .chunkstore import is_payload_key
 from .errors import (
     BackendError,
     InjectedFaultError,
@@ -28,14 +29,6 @@ from .errors import (
 )
 
 OpHook = Optional[Callable[[], None]]
-
-
-def is_payload_key(key: str) -> bool:
-    parts = key.split("/")
-    last = parts[-1]
-    if last.startswith("c.") and len(last) > 2:
-        return True
-    return len(parts) >= 2 and parts[-2] == "d" and last.isdigit()
 
 
 @dataclass
@@ -296,9 +289,6 @@ class Store:
         except MissingKeyError:
             return False
 
-    def counters(self) -> CounterSnapshot:
-        return self.backend.counters(self.identity)
-
 
 class MemoryBackend(StorageBackend):
     """In-memory key -> bytes map with counters and crash injection."""
@@ -358,7 +348,7 @@ class FilesystemBackend(StorageBackend):
 
     def __init__(self, root: str | os.PathLike):
         super().__init__()
-        self.root = Path(root)
+        self.root = Path(root).absolute()
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
@@ -394,11 +384,12 @@ class FilesystemBackend(StorageBackend):
     def _list(self, prefix: str) -> list[str]:
         # Only the directory the prefix names can hold matching keys.
         base = self._path(prefix.rpartition("/")[0])
+        cut = len(os.path.join(self.root, ""))
         out = []
         for dirpath, _, filenames in os.walk(base):
+            rel_dir = os.path.join(dirpath, "")[cut:].replace(os.sep, "/")
             for name in filenames:
-                rel = os.path.relpath(os.path.join(dirpath, name), self.root)
-                key = rel.replace(os.sep, "/")
+                key = rel_dir + name
                 if key.startswith(prefix) and not name.endswith(".partial"):
                     out.append(key)
         return sorted(out)

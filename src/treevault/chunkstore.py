@@ -7,7 +7,10 @@ chunk grid:
 
 * per-leaf: one object per write chunk at ``<prefix>/<leaf>/c.<i0>.<i1>...``
 * aggregated: chunk payloads appended to data files ``<prefix>/d/<file_id>``
-  capped near a target size, located through a sorted manifest.
+  capped near a target size, located through a key-ordered manifest.
+
+No other module knows the layouts: ``ChunkReader.fetch_chunk`` turns a
+merged-index location into a read, and ``is_payload_key`` names payload keys.
 
 Chunk payloads are raw row-major little-endian bytes, no compression, so
 byte accounting is exact.
@@ -18,14 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import docio
-from .backend import Store
 from .dtypes import itemsize, numpy_dtype
 from .errors import (
     AlignmentError,
@@ -36,6 +37,9 @@ from .errors import (
     MissingKeyError,
 )
 from .sharding import Range, segment_axis
+
+if TYPE_CHECKING:  # backend imports is_payload_key from here
+    from .backend import Store
 
 PER_LEAF = "per_leaf"
 AGGREGATED = "aggregated"
@@ -221,18 +225,14 @@ def chunk_object_key(leaf_path: str, ck: str) -> str:
     return f"{leaf_path}/c.{ck}"
 
 
-def chunk_location(
-    prefix: str, leaf_path: str, ck: str, loc: dict
-) -> tuple[str, int]:
-    """Storage key and byte offset of one chunk from its merged-index entry.
-
-    A per-leaf chunk is a whole object (offset 0); an aggregated chunk sits
-    at offset ``loc["o"]`` inside a data file of its process.
-    """
-    pdir = process_dir(prefix, loc["p"])
-    if "f" in loc:
-        return f"{pdir}/{DATA_DIR}/{loc['f']}", loc["o"]
-    return f"{pdir}/{chunk_object_key(leaf_path, ck)}", 0
+def is_payload_key(key: str) -> bool:
+    """Whether ``key`` holds chunk payload: a per-leaf chunk object
+    (``.../c.<coords>``) or an aggregated data file (``.../d/<file_id>``)."""
+    parts = key.split("/")
+    last = parts[-1]
+    if last.startswith("c.") and len(last) > 2:
+        return True
+    return len(parts) >= 2 and parts[-2] == DATA_DIR and last.isdigit()
 
 
 def _covering(ranges: tuple[Range, ...], steps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -270,22 +270,21 @@ def _slab_is_contiguous(extents: tuple[int, ...], shape: tuple[int, ...]) -> boo
 
 
 class AggregatedManifest:
-    """Sorted chunk-key index into coalesced data files.
+    """Chunk-key index into coalesced data files.
 
-    Entries map chunk key -> (file_id, offset, length); keys are kept
-    sorted so lookups are O(log n). Byte ranges within one file must not
-    overlap.
+    Entries map chunk key -> (file_id, offset, length), held in key order
+    so the serialised manifest is canonical. Byte ranges within one file
+    must not overlap.
     """
 
     def __init__(self, entries: dict[str, tuple[int, int, int]], target_file_bytes: int):
-        self._keys = sorted(entries)
-        self._locs = [entries[k] for k in self._keys]
+        self._entries = dict(sorted(entries.items()))
         self.target_file_bytes = target_file_bytes
         self._validate()
 
     def _validate(self) -> None:
         by_file: dict[int, list[tuple[int, int]]] = {}
-        for fid, off, length in self._locs:
+        for fid, off, length in self._entries.values():
             if off < 0 or length < 0:
                 raise CorruptionError("negative manifest byte range")
             by_file.setdefault(fid, []).append((off, length))
@@ -298,18 +297,18 @@ class AggregatedManifest:
                     )
 
     def keys(self) -> list[str]:
-        return list(self._keys)
+        return list(self._entries)
 
     def lookup(self, key: str) -> tuple[int, int, int]:
-        i = bisect_left(self._keys, key)
-        if i == len(self._keys) or self._keys[i] != key:
-            raise MissingKeyError(f"chunk key {key!r} not in manifest")
-        return self._locs[i]
+        try:
+            return self._entries[key]
+        except KeyError:
+            raise MissingKeyError(f"chunk key {key!r} not in manifest") from None
 
     def to_json(self) -> dict:
         return {
             "target_file_bytes": self.target_file_bytes,
-            "entries": {k: list(v) for k, v in zip(self._keys, self._locs)},
+            "entries": {k: list(v) for k, v in self._entries.items()},
         }
 
     @classmethod
@@ -328,8 +327,10 @@ class ProcessArrayWriter:
     """Writes one process's array chunks under its own key prefix.
 
     All arrays of one save share the writer so the aggregated layout can
-    coalesce chunks across arrays into few data files. ``finish`` emits the
-    per-process metadata document (and manifest for the aggregated layout).
+    coalesce chunks across arrays into few data files. Chunks are byte
+    views of the shard buffers, joined once per data file, so those buffers
+    must stay unchanged until ``finish``. ``finish`` emits the per-process
+    metadata document (and manifest for the aggregated layout).
     """
 
     def __init__(
@@ -349,7 +350,8 @@ class ProcessArrayWriter:
         self._shardings: dict[str, Optional[dict]] = {}
         self._chunks: dict[str, set[str]] = {}
         self._manifest_entries: dict[str, tuple[int, int, int]] = {}
-        self._buffer = bytearray()
+        self._parts: list[memoryview] = []  # the open data file
+        self._size = 0
         self._file_id = 0
         self._finished = False
 
@@ -409,11 +411,11 @@ class ProcessArrayWriter:
                     slice(c * w - off, (c + 1) * w - off)
                     for c, w, (off, _) in zip(coords, meta.write_chunk, ranges)
                 )
-                payload = np.ascontiguousarray(values[sel]).tobytes()
+                payload = memoryview(np.ascontiguousarray(values[sel])).cast("B")
                 written.append(self._put_chunk(leaf_path, coords, payload))
         return written
 
-    def _put_chunk(self, leaf_path: str, coords: tuple[int, ...], payload: bytes) -> str:
+    def _put_chunk(self, leaf_path: str, coords: tuple[int, ...], payload: memoryview) -> str:
         ck = coords_key(coords)
         seen = self._chunks[leaf_path]
         if ck in seen:
@@ -426,21 +428,18 @@ class ProcessArrayWriter:
             full = f"{self._prefix}/{rel_key}"
             self._store.put(full, payload)
             return full
-        if self._buffer and len(self._buffer) + len(payload) > self._target:
+        if self._parts and self._size + len(payload) > self._target:
             self._flush_file()
-        self._manifest_entries[rel_key] = (
-            self._file_id,
-            len(self._buffer),
-            len(payload),
-        )
-        self._buffer.extend(payload)
+        self._manifest_entries[rel_key] = (self._file_id, self._size, len(payload))
+        self._parts.append(payload)
+        self._size += len(payload)
         return f"{self._prefix}/{DATA_DIR}/{self._file_id}"
 
     def _flush_file(self) -> None:
         self._store.put(
-            f"{self._prefix}/{DATA_DIR}/{self._file_id}", bytes(self._buffer)
+            f"{self._prefix}/{DATA_DIR}/{self._file_id}", b"".join(self._parts)
         )
-        self._buffer = bytearray()
+        self._parts, self._size = [], 0
         self._file_id += 1
 
     def finish(self) -> dict:
@@ -449,7 +448,7 @@ class ProcessArrayWriter:
             raise ChunkStoreError("writer already finished")
         self._finished = True
         if self._layout == AGGREGATED:
-            if self._buffer:
+            if self._parts:
                 self._flush_file()
             manifest = AggregatedManifest(self._manifest_entries, self._target)
             self._store.put(
@@ -486,33 +485,42 @@ class ChunkReader:
     def __init__(self, store: Store, ckpt_prefix: str, merged_index: dict):
         self._store = store
         self._prefix = ckpt_prefix.rstrip("/")
-        self._arrays = merged_index["arrays"]
+        self._arrays = merged_index.get("arrays", {})
+        self._metas: dict[str, ArrayStorageMetadata] = {}
 
     def metadata_for(self, leaf_path: str) -> ArrayStorageMetadata:
-        try:
-            return ArrayStorageMetadata.from_json(self._arrays[leaf_path])
-        except KeyError:
-            raise CorruptionError(
-                f"leaf {leaf_path!r} missing from merged index"
-            ) from None
+        if leaf_path not in self._metas:  # parsed once per reader
+            if leaf_path not in self._arrays:
+                raise CorruptionError(f"leaf {leaf_path!r} missing from merged index")
+            self._metas[leaf_path] = ArrayStorageMetadata.from_json(self._arrays[leaf_path])
+        return self._metas[leaf_path]
 
-    def _fetch(
+    def fetch_chunk(
         self, leaf_path: str, ck: str, byte_off: int = 0, nbytes: int | None = None
     ) -> bytes:
         """``nbytes`` from ``byte_off`` inside one write chunk, or the whole
-        chunk when ``nbytes`` is None. A whole per-leaf chunk is one ``get``;
-        everything else is a ``get_range``."""
+        chunk, checked to be ``chunk_nbytes()`` long, when ``nbytes`` is None;
+        an aggregated chunk whose manifest length is wrong is not read."""
+        expected = self.metadata_for(leaf_path).chunk_nbytes()
         loc = self._arrays[leaf_path]["chunks"].get(ck)
         if loc is None:
             raise CorruptionError(
                 f"chunk {ck} of {leaf_path!r} missing from merged index"
             )
-        key, base = chunk_location(self._prefix, leaf_path, ck, loc)
-        if nbytes is None:
-            if "f" not in loc:
-                return self._store.get(key)
-            nbytes = loc["l"]
-        return self._store.get_range(key, base + byte_off, nbytes)
+        pdir = process_dir(self._prefix, loc["p"])
+        if "f" in loc:
+            key, base = f"{pdir}/{DATA_DIR}/{loc['f']}", loc["o"]
+        else:
+            key, base = f"{pdir}/{chunk_object_key(leaf_path, ck)}", 0
+        if nbytes is not None:
+            return self._store.get_range(key, base + byte_off, nbytes)
+        data = None if "f" in loc else self._store.get(key)
+        size = loc["l"] if data is None else len(data)
+        if size != expected:
+            raise CorruptionError(
+                f"{leaf_path} chunk {ck}: {size} bytes, expected {expected}"
+            )
+        return self._store.get_range(key, base, size) if data is None else data
 
     def read_range(
         self, leaf_path: str, ranges: tuple[Range, ...]
@@ -552,7 +560,7 @@ class ChunkReader:
             chunk_ranges = _cell_ranges(coords, w)
             needed = list(_covering(_intersect(ranges, chunk_ranges), r))
             if len(needed) == subs_per_chunk or not contiguous:
-                chunk = np.frombuffer(self._fetch(leaf_path, ck), nd).reshape(w)
+                chunk = np.frombuffer(self.fetch_chunk(leaf_path, ck), nd).reshape(w)
                 stats.bytes_loaded += meta.chunk_nbytes()
                 _copy_overlap(out, ranges, chunk, chunk_ranges)
                 continue
@@ -564,7 +572,7 @@ class ChunkReader:
                         sub_ranges, chunk_ranges, strides
                     )
                 )
-                raw = self._fetch(leaf_path, ck, first * isz, sub_nbytes)
+                raw = self.fetch_chunk(leaf_path, ck, first * isz, sub_nbytes)
                 stats.bytes_loaded += sub_nbytes
                 _copy_overlap(
                     out, ranges, np.frombuffer(raw, nd).reshape(r), sub_ranges
@@ -598,6 +606,14 @@ def _strides(shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _process_doc(store: Store, key: str, what: str) -> dict:
+    """A per-process document; one that is missing is a ConsistencyError."""
+    try:
+        return docio.loads(store.get(key), what=what)
+    except MissingKeyError:
+        raise ConsistencyError(f"missing {what}") from None
+
+
 def merge_process_indices(
     store: Store, ckpt_prefix: str, process_count: int
 ) -> dict:
@@ -615,15 +631,9 @@ def merge_process_indices(
     leaf_sets: list[set[str]] = []
     for p in range(process_count):
         pdir = process_dir(prefix, p)
-        try:
-            doc = docio.loads(
-                store.get(f"{pdir}/{ARRAY_METADATA_FILE}"),
-                what=f"process {p} array metadata",
-            )
-        except MissingKeyError:
-            raise ConsistencyError(
-                f"missing array metadata for process {p}"
-            ) from None
+        doc = _process_doc(
+            store, f"{pdir}/{ARRAY_METADATA_FILE}", f"array metadata for process {p}"
+        )
         if layout is None:
             layout = doc.get("layout")
         elif doc.get("layout") != layout:
@@ -632,17 +642,11 @@ def merge_process_indices(
             )
         manifest = None
         if layout == AGGREGATED:
-            try:
-                manifest = AggregatedManifest.from_json(
-                    docio.loads(
-                        store.get(f"{pdir}/{MANIFEST_FILE}"),
-                        what=f"process {p} manifest",
-                    )
+            manifest = AggregatedManifest.from_json(
+                _process_doc(
+                    store, f"{pdir}/{MANIFEST_FILE}", f"manifest for process {p}"
                 )
-            except MissingKeyError:
-                raise ConsistencyError(
-                    f"missing manifest for process {p}"
-                ) from None
+            )
         leaf_sets.append(set(doc.get("arrays", {})))
         for leaf, entry in doc.get("arrays", {}).items():
             meta = ArrayStorageMetadata.from_json(entry)

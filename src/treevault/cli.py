@@ -21,7 +21,7 @@ from . import chunkstore
 from .backend import Store, make_backend
 from .coordination import Mode, SimulatedRuntime
 from .dtypes import numpy_dtype
-from .errors import LoadError, MissingKeyError, TreevaultError
+from .errors import CorruptionError, LoadError, MissingKeyError, TreevaultError
 from .load_pipeline import (
     LoadOptions,
     checkpoint_metadata,
@@ -192,27 +192,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except TreevaultError as e:
         problems.append(f"per-process metadata: {e}")
 
+    reader = chunkstore.ChunkReader(store, path, meta.merged_index)
     for scoped, entry in sorted(meta.merged_index.get("arrays", {}).items()):
         try:
-            storage = meta.storage_meta(scoped)
+            reader.metadata_for(scoped)
         except TreevaultError as e:
             problems.append(str(e))
             continue
-        expected = storage.chunk_nbytes()
-        for ck, loc in sorted(entry.get("chunks", {}).items()):
+        for ck in sorted(entry.get("chunks", {})):
             try:
-                key, offset = chunkstore.chunk_location(path, scoped, ck, loc)
-                if "f" in loc:
-                    # The manifest holds the length; read only a sane span.
-                    size = loc["l"]
-                    if size == expected:
-                        store.get_range(key, offset, size)
-                else:
-                    size = len(store.get(key))
-                if size != expected:
-                    problems.append(
-                        f"{scoped} chunk {ck}: {size} bytes, expected {expected}"
-                    )
+                reader.fetch_chunk(scoped, ck)
+            except CorruptionError as e:  # already names the leaf and chunk
+                problems.append(str(e))
             except TreevaultError as e:
                 problems.append(f"{scoped} chunk {ck}: {e}")
 
@@ -438,10 +429,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     per_identity = {
         ident: backend.counters(ident).to_json() for ident in backend.identities()
     }
-    writes = {
-        ident: backend.counters(ident).payload_bytes_written
-        for ident in backend.identities()
-    }
+    writes = {ident: c["payload_bytes_written"] for ident, c in per_identity.items()}
     report = {
         "config": {
             "model_spec": args.model_spec,

@@ -1,8 +1,9 @@
 """Simulated multi-process runtime.
 
 Simulated processes are in-process threads sharing one storage backend;
-named barriers and a small broadcast mailbox are the only cross-process
-primitives, mirroring the two coordination styles of real deployments:
+named barriers, which can carry a small leader broadcast, are the only
+cross-process primitives, mirroring the two coordination styles of real
+deployments:
 
 * multi-controller: every process runs the same program; process 0 is the
   leader and coordinates through barriers and broadcasts.
@@ -96,10 +97,12 @@ class BackgroundTask:
         return self._thread is None or not self._thread.is_alive()
 
 
-class _BarrierState:
+class _Rendezvous:
+    """One use of a barrier name: who arrived, and the leader's payload."""
+
     def __init__(self):
-        self.generation = 0
         self.arrived: set[int] = set()
+        self.payload: bytes | None = None
 
 
 class SimulatedRuntime:
@@ -125,8 +128,7 @@ class SimulatedRuntime:
         self.jitter = jitter
         self._seed = seed
         self._cond = threading.Condition()
-        self._barriers: dict[str, _BarrierState] = {}
-        self._mailbox: dict[str, bytes] = {}
+        self._barriers: dict[str, _Rendezvous] = {}  # open uses only
         self._dead: set[int] = set()
         self._crash_schedule = list(crash_schedule)
         self.contexts = [ProcessContext(self, i) for i in range(process_count)]
@@ -148,12 +150,20 @@ class SimulatedRuntime:
 
     # -- barriers ----------------------------------------------------------
 
-    def barrier(self, name: str, process: int, timeout: float | None = None) -> None:
-        """Block until all processes arrive at ``name``.
+    def barrier(
+        self,
+        name: str,
+        process: int,
+        timeout: float | None = None,
+        payload: bytes | None = None,
+    ) -> bytes | None:
+        """Block until all processes arrive at ``name``; returns the
+        ``payload`` one of them brought, if any.
 
         Completes only when every process (live or not) has arrived;
-        crashed processes never arrive, so survivors time out. Barrier
-        names are reusable once a generation completes.
+        crashed processes never arrive, so survivors time out. Each use of
+        a name is its own rendezvous, dropped when it completes or a waiter
+        leaves it by an error; a late arrival then waits alone.
         """
         self._check_alive(process)
         for crash in self._crash_schedule:
@@ -165,35 +175,40 @@ class SimulatedRuntime:
         timeout = self.barrier_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
         with self._cond:
-            state = self._barriers.setdefault(name, _BarrierState())
-            if process in state.arrived:
+            rv = self._barriers.setdefault(name, _Rendezvous())
+            if process in rv.arrived:
                 raise CoordinationError(
                     f"process {process} arrived twice at barrier {name!r}"
                 )
-            generation = state.generation
-            state.arrived.add(process)
-            if len(state.arrived) == self.process_count:
-                state.generation += 1
-                state.arrived = set()
+            rv.arrived.add(process)
+            if payload is not None:
+                rv.payload = payload
+            if len(rv.arrived) == self.process_count:
+                del self._barriers[name]
                 self._cond.notify_all()
-                return
-            while state.generation == generation:
-                if self.backend.crashed:
-                    raise SimulatedCrashError(
-                        f"backend crashed while waiting at {name!r}"
-                    )
-                if process in self._dead:
-                    raise ProcessCrashedError(f"process {process} crashed")
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = sorted(
-                        set(range(self.process_count)) - state.arrived
-                    )
-                    raise BarrierTimeoutError(
-                        f"barrier {name!r} timed out waiting for "
-                        f"processes {missing}"
-                    )
-                self._cond.wait(min(remaining, _POLL_INTERVAL))
+            try:
+                while len(rv.arrived) < self.process_count:
+                    if self.backend.crashed:
+                        raise SimulatedCrashError(
+                            f"backend crashed while waiting at {name!r}"
+                        )
+                    if process in self._dead:
+                        raise ProcessCrashedError(f"process {process} crashed")
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        missing = sorted(
+                            set(range(self.process_count)) - rv.arrived
+                        )
+                        raise BarrierTimeoutError(
+                            f"barrier {name!r} timed out waiting for "
+                            f"processes {missing}"
+                        )
+                    self._cond.wait(min(remaining, _POLL_INTERVAL))
+            except BaseException:
+                if self._barriers.get(name) is rv:
+                    del self._barriers[name]
+                raise
+            return rv.payload
 
     # -- broadcast ---------------------------------------------------------
 
@@ -208,11 +223,9 @@ class SimulatedRuntime:
                     f"broadcast payload of {len(payload)} bytes exceeds "
                     f"{MAX_BROADCAST_BYTES}"
                 )
-            with self._cond:
-                self._mailbox[name] = bytes(payload)
-        self.barrier(f"{name}/bcast", process)
-        with self._cond:
-            return self._mailbox[name]
+        # Only the leader's payload travels; followers' are ignored.
+        leader_payload = bytes(payload) if process == 0 else None
+        return self.barrier(f"{name}/bcast", process, payload=leader_payload)
 
     # -- execution ---------------------------------------------------------
 

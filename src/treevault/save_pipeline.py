@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import uuid
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -121,11 +121,15 @@ def temp_path(path: str) -> str:
     return f"{path}.tmp.{uuid.uuid4().hex[:12]}"
 
 
-def delete_checkpoint(store: Store, path: str) -> None:
-    """Delete every key under ``path``, commit markers first, so a crash
-    mid-deletion leaves no half checkpoint that still looks finalized."""
+def delete_checkpoint(
+    store: Store, path: str, keys: Iterable[str] | None = None
+) -> None:
+    """Delete every key under ``path`` (``keys``, if the caller listed them
+    already), commit markers first, so a crash mid-deletion leaves no half
+    checkpoint that still looks finalized."""
     markers = (f"{path}/{GLOBAL_METADATA_FILE}", f"{path}/{COMMIT_FILE}")
-    keys = store.list_keys(f"{path}/")
+    if keys is None:
+        keys = store.list_keys(f"{path}/")
     for key in sorted(keys, key=lambda k: (k not in markers, k)):
         store.delete(key)
 

@@ -288,6 +288,6 @@ class Checkpointer:
             newest = self._store.backend.newest_mtime(by_dir[d])
             if newest is not None and now - newest >= max_age_seconds:
                 prefix = f"{self.root}/{d}"
-                delete_checkpoint(self._store, prefix)
+                delete_checkpoint(self._store, prefix, by_dir[d])
                 swept.append(prefix)
         return swept

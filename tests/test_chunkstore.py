@@ -20,6 +20,7 @@ from treevault.chunkstore import (
     ProcessArrayWriter,
     choose_chunk_shape,
     derive_write_chunk,
+    is_payload_key,
     merge_process_indices,
 )
 from treevault.dtypes import numpy_dtype
@@ -188,6 +189,20 @@ class TestWriteArray:
                 "w", [(full_ranges((4,)), np.zeros(4, np.float32))], meta
             )
 
+    @pytest.mark.parametrize("layout", [PER_LEAF, AGGREGATED])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(), (3, 4)])
+    def test_staged_views_write_row_major_bytes(self, backend, layout, dtype, shape):
+        nd = numpy_dtype(dtype)
+        data = (np.arange(math.prod(shape)) % 7).astype(nd).reshape(shape)
+        meta = meta_for(shape, dtype, layout=layout)
+        writer = ProcessArrayWriter(backend.store("p0"), "ck/process_0", layout)
+        writer.write_array("w", [(full_ranges(shape), data)], meta)
+        writer.finish()
+        payload = {k: v for k, v in backend.dump().items() if is_payload_key(k)}
+        assert list(payload.values()) == [data.tobytes()]
+        assert backend.counters().payload_bytes_written == data.nbytes
+
     def test_rank0_pseudo_coordinate(self, backend):
         data = np.array(5.0, np.float32)
         meta = meta_for(())
@@ -267,6 +282,49 @@ class TestReadRange:
         store.delete("ck/process_0/w/c.0.0")
         with pytest.raises(MissingKeyError):
             reader.read_range("w", full_ranges((4, 4)))
+
+    @pytest.mark.parametrize("change", [-4, 4], ids=["truncated", "padded"])
+    def test_wrong_size_per_leaf_chunk_names_leaf_and_chunk(self, backend, change):
+        data = np.arange(8, dtype=np.float32).reshape(2, 4)
+        reader, _, store = single_writer_checkpoint(
+            backend, {"w": (data, meta_for((2, 4)))}
+        )
+        key = "ck/process_0/w/c.0.0"
+        stored = backend.dump()[key]
+        store.put(key, stored[:change] if change < 0 else stored + bytes(change))
+        with pytest.raises(CorruptionError, match=r"^w chunk 0\.0: "):
+            reader.read_range("w", full_ranges((2, 4)))
+        with pytest.raises(CorruptionError, match=f"{32 + change} bytes, expected 32"):
+            reader.fetch_chunk("w", "0.0")
+
+    def test_wrong_manifest_length_reads_nothing(self, backend):
+        data = np.arange(8, dtype=np.float32)
+        reader, merged, store = single_writer_checkpoint(
+            backend, {"w": (data, meta_for((8,), layout=AGGREGATED))}, layout=AGGREGATED
+        )
+        merged["arrays"]["w"]["chunks"]["0"]["l"] = 28
+        before = backend.counters()
+        with pytest.raises(CorruptionError, match="w chunk 0: 28 bytes, expected 32"):
+            ChunkReader(store, "ck", merged).fetch_chunk("w", "0")
+        assert backend.counters().minus(before).op_count() == 0
+
+    def test_storage_metadata_parsed_once_per_reader(self, backend, monkeypatch):
+        data = np.arange(64, dtype=np.float32).reshape(8, 8)
+        reader, _, _ = single_writer_checkpoint(
+            backend, {"w": (data, meta_for((8, 8), shard=(2, 8)))}
+        )
+        parses = []
+        real = ArrayStorageMetadata.from_json.__func__
+
+        def counted(cls, doc):
+            parses.append(doc)
+            return real(cls, doc)
+
+        monkeypatch.setattr(ArrayStorageMetadata, "from_json", classmethod(counted))
+        for i in range(4):
+            out, _ = reader.read_range("w", ((2 * i, 2), (0, 8)))
+            assert np.array_equal(out, data[2 * i : 2 * i + 2])
+        assert len(parses) == 1
 
     def test_out_of_bounds_request(self, backend):
         reader, _, _ = single_writer_checkpoint(
@@ -585,6 +643,20 @@ class TestFilesystemListing:
         assert starts == [fs.root / "run"]
         assert fs.root / "other" not in visited
         assert all(fs.root / "run" in (d, *d.parents) for d in visited)
+
+    @pytest.mark.parametrize("root", ["root", "nested/../root"])
+    def test_relative_root_lists_like_absolute(self, tmp_path, monkeypatch, root):
+        monkeypatch.chdir(tmp_path)
+        backend = FilesystemBackend(root)
+        for key in self.KEYS:
+            backend.store().put(key, b"x")
+        assert backend.root.is_absolute()
+        for prefix in ("", "to", "top", "run/", "run/step_00000001/", "other/s"):
+            expected = sorted(k for k in self.KEYS if k.startswith(prefix))
+            assert backend.store().list_keys(prefix) == expected
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert backend.store().list_keys("") == sorted(self.KEYS)
 
     @pytest.mark.parametrize("prefix", ["../", "run/../other/", "../root/run"])
     def test_dot_dot_prefix_raises(self, fs, prefix):

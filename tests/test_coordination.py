@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -6,18 +7,25 @@ import pytest
 
 from conftest import make_runtime, sharded, simple_mesh
 from treevault import (
+    Checkpointer,
     CrashSchedule,
     DenseArray,
+    FaultPlan,
     MemoryBackend,
+    RetentionPolicy,
     SaveOptions,
     SimulatedRuntime,
+    abstract_of,
+    load_checkpoint,
     save_checkpoint,
+    tree_equal,
 )
 from treevault.coordination import MAX_BROADCAST_BYTES, Mode
 from treevault.errors import (
     BarrierTimeoutError,
     BroadcastPayloadError,
     CoordinationError,
+    InjectedFaultError,
     ProcessCrashedError,
     WorkerTaskError,
 )
@@ -96,6 +104,65 @@ class TestBarrier:
             rt.barrier("x", 0, timeout=0.5)
         rt.barrier("x", 1, timeout=5.0)  # releases the waiter
         waiter.join()
+
+
+class TestRendezvousLifecycle:
+    def test_late_arrival_at_abandoned_barrier_waits_alone(self, backend):
+        rt = make_runtime(backend, 2)
+        with pytest.raises(BarrierTimeoutError):
+            rt.barrier("x", 0, timeout=0.05)
+        with pytest.raises(BarrierTimeoutError, match=r"processes \[0\]"):
+            rt.barrier("x", 1, timeout=0.05)
+        assert rt._barriers == {}
+
+    def test_failed_save_retried_at_same_path_loads(self, backend):
+        rt = make_runtime(backend, 2, barrier_timeout=1.0)
+        mesh = simple_mesh(2, 2)
+        tree = {"w": DenseArray("f32", np.arange(32, dtype=np.float32).reshape(8, 4))}
+        shardings = {"m": {"w": sharded(mesh, (8, 4), "data")}}
+        backend.set_fault_plan(FaultPlan(fail_put_substring="process_1/m/w/c."))
+        with pytest.raises(InjectedFaultError):
+            save_checkpoint(rt, "ck", {"m": tree}, shardings).wait()
+        backend.clear_fault()
+        save_checkpoint(rt, "ck", {"m": tree}, shardings).wait()
+        out = load_checkpoint(rt, "ck", {"m": abstract_of(tree, shardings["m"])})
+        assert tree_equal(out["m"], tree)
+
+    def test_reused_broadcast_name_under_contention(self, backend):
+        rt = make_runtime(backend, 8)
+        rounds = [str(i).encode() for i in range(50)]
+
+        def body(ctx):
+            return [
+                ctx.leader_broadcast("round", r if ctx.is_leader else None)
+                for r in rounds
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = rt.run_collective(body)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [rounds] * 8
+        assert rt._barriers == {}
+
+    @pytest.mark.parametrize("backend_fixture", ["backend", "rename_backend"])
+    def test_no_state_kept_after_steps(self, request, backend_fixture):
+        backend = request.getfixturevalue(backend_fixture)
+        rt = make_runtime(backend, 2)
+        mesh = simple_mesh(2, 2)
+        cp = Checkpointer(rt, "root", RetentionPolicy(keep_last=2))
+        for step in range(5):
+            tree = {"w": DenseArray("f32", np.full((4, 4), step, np.float32))}
+            shardings = {"w": sharded(mesh, (4, 4), "data")}
+            cp.save_step(step, {"m": tree}, {"m": shardings})
+            cp.wait()
+            cp.refresh()
+            out = cp.load_step(step, {"m": abstract_of(tree, shardings)})
+            assert tree_equal(out["m"], tree)
+        assert rt._barriers == {}
+        assert getattr(rt, "_mailbox", {}) == {}
 
 
 class TestBroadcast:

@@ -217,6 +217,21 @@ class TestLoad:
         with pytest.raises(Exception):
             load_checkpoint(rt, "c/s0", current_mesh=mesh)
 
+    @pytest.mark.parametrize("change", [-4, 4], ids=["truncated", "padded"])
+    def test_wrong_size_chunk_names_leaf_and_chunk(self, backend, change):
+        rt, mesh, *_ = saved_checkpoint(backend, processes=1)
+        key = "c/s0/process_0/model/layers/0/w/c.1.0"
+        stored = backend.dump()[key]
+        backend.store().put(
+            key, stored[:change] if change < 0 else stored + bytes(change)
+        )
+        with pytest.raises(
+            CorruptionError,
+            match=rf"^model/layers/0/w chunk 1\.0: {128 + change} bytes, "
+            "expected 128$",
+        ):
+            load_checkpoint(rt, "c/s0", current_mesh=mesh)
+
     def test_async_load_handle(self, backend):
         rt, mesh, tree, _ = saved_checkpoint(backend)
         handle = load_checkpoint_async(rt, "c/s0", current_mesh=mesh)

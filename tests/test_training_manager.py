@@ -239,8 +239,8 @@ class TestSweepTmp:
 
         monkeypatch.setattr(MemoryBackend, "_list", counted_list)
         assert len(cp.sweep_tmp(0.0)) == n
-        # One listing of the root, then one per swept directory's deletion.
-        assert len(calls) == n + 1
+        # One listing of the root supplies the ages and the deletions.
+        assert len(calls) == 1
 
     def test_sweeps_unfinalized_residue(self, backend):
         rt = make_runtime(backend, 1)

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional
 from .chunkstore import is_payload_key
 from .errors import (
     BackendError,
+    ByteRangeError,
     InjectedFaultError,
     MissingKeyError,
     SimulatedCrashError,
@@ -92,7 +93,7 @@ class FaultPlan:
 
 def _check_range(key: str, offset: int, length: int, size: int) -> None:
     if offset < 0 or length < 0 or offset + length > size:
-        raise BackendError(
+        raise ByteRangeError(
             f"range [{offset}, {offset + length}) outside key {key!r} "
             f"of size {size}"
         )
@@ -208,7 +209,7 @@ class StorageBackend(abc.ABC):
     def _get(self, key: str) -> bytes: ...
 
     @abc.abstractmethod
-    def _get_range(self, key: str, offset: int, length: int) -> bytes: ...
+    def _get_range(self, key: str, offset: int, length: int) -> bytes | memoryview: ...
 
     @abc.abstractmethod
     def _list(self, prefix: str) -> list[str]: ...
@@ -264,7 +265,9 @@ class Store:
 
         return self._run("get", key, fn)
 
-    def get_range(self, key: str, offset: int, length: int) -> bytes:
+    def get_range(self, key: str, offset: int, length: int) -> bytes | memoryview:
+        """``length`` bytes from ``offset``, as a bytes-like object (the
+        ``mem`` backend returns a read-only view of the stored value)."""
         def fn():
             data = self.backend._get_range(key, offset, length)
             return data, len(data), 0
@@ -309,10 +312,10 @@ class MemoryBackend(StorageBackend):
         except KeyError:
             raise MissingKeyError(f"no such key {key!r}") from None
 
-    def _get_range(self, key: str, offset: int, length: int) -> bytes:
+    def _get_range(self, key: str, offset: int, length: int) -> memoryview:
         data = self._get(key)
         _check_range(key, offset, length, len(data))
-        return data[offset : offset + length]
+        return memoryview(data)[offset : offset + length]  # values are immutable
 
     def _list(self, prefix: str) -> list[str]:
         return sorted(k for k in self._data if k.startswith(prefix))

@@ -30,6 +30,7 @@ from . import docio
 from .dtypes import itemsize, numpy_dtype
 from .errors import (
     AlignmentError,
+    ByteRangeError,
     ChunkStoreError,
     ConsistencyError,
     CorruptionError,
@@ -497,10 +498,12 @@ class ChunkReader:
 
     def fetch_chunk(
         self, leaf_path: str, ck: str, byte_off: int = 0, nbytes: int | None = None
-    ) -> bytes:
+    ) -> bytes | memoryview:
         """``nbytes`` from ``byte_off`` inside one write chunk, or the whole
         chunk, checked to be ``chunk_nbytes()`` long, when ``nbytes`` is None;
-        an aggregated chunk whose manifest length is wrong is not read."""
+        an aggregated chunk whose manifest length is wrong is not read. A
+        range past the end of a truncated chunk raises CorruptionError; a
+        padded chunk read by range goes undetected until chunks carry checksums."""
         expected = self.metadata_for(leaf_path).chunk_nbytes()
         loc = self._arrays[leaf_path]["chunks"].get(ck)
         if loc is None:
@@ -513,7 +516,10 @@ class ChunkReader:
         else:
             key, base = f"{pdir}/{chunk_object_key(leaf_path, ck)}", 0
         if nbytes is not None:
-            return self._store.get_range(key, base + byte_off, nbytes)
+            try:
+                return self._store.get_range(key, base + byte_off, nbytes)
+            except ByteRangeError as e:
+                raise CorruptionError(f"{leaf_path} chunk {ck}: {e}") from e
         data = None if "f" in loc else self._store.get(key)
         size = loc["l"] if data is None else len(data)
         if size != expected:
@@ -523,10 +529,11 @@ class ChunkReader:
         return self._store.get_range(key, base, size) if data is None else data
 
     def read_range(
-        self, leaf_path: str, ranges: tuple[Range, ...]
+        self, leaf_path: str, ranges: tuple[Range, ...], out: np.ndarray | None = None
     ) -> tuple[np.ndarray, ReadStats]:
         """Assemble exactly the requested elements, loading the minimal set
-        of read chunks that covers them.
+        of read chunks that covers them, into ``out`` (the caller's view of
+        the box's shape and the leaf's dtype) or a new array, returned.
 
         A write chunk is fetched whole, once, when every one of its read
         chunks is needed or when its read chunks are not contiguous in its
@@ -545,7 +552,11 @@ class ChunkReader:
                     f"range ({off}, {ext}) outside global extent {g}"
                 )
         extents = tuple(e for _, e in ranges)
-        out = np.empty(extents, nd)
+        out = np.empty(extents, nd) if out is None else out
+        if out.shape != extents or out.dtype != nd:
+            raise ChunkStoreError(
+                f"destination {out.dtype}{out.shape} does not fit {leaf_path!r}"
+            )
         stats = ReadStats(bytes_requested=int(np.prod(extents)) * isz)
         if 0 in extents:
             return out, stats

@@ -13,7 +13,8 @@ deployments:
 A seeded scheduler injects random delays before storage operations and
 barrier arrivals so tests can explore interleavings reproducibly. Crash
 schedules kill individual processes at named barriers; a crashed backend
-(fault injection) aborts every pending barrier promptly.
+(fault injection), or a failed task of a collective, aborts the barriers
+it leaves waiting promptly.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     BarrierTimeoutError,
     BroadcastPayloadError,
     CoordinationError,
+    PeerFailedError,
     ProcessCrashedError,
     SimulatedCrashError,
     WorkerTaskError,
@@ -57,10 +59,9 @@ class CrashSchedule:
 
 def primary_error(errors: Sequence[BaseException]) -> BaseException:
     """The failure to surface when several processes failed: the first
-    real error, not a barrier timeout it caused elsewhere."""
-    return next(
-        (e for e in errors if not isinstance(e, BarrierTimeoutError)), errors[0]
-    )
+    real error, not a barrier timeout or abort it caused elsewhere."""
+    caused = (BarrierTimeoutError, PeerFailedError)
+    return next((e for e in errors if not isinstance(e, caused)), errors[0])
 
 
 class BackgroundTask:
@@ -130,6 +131,7 @@ class SimulatedRuntime:
         self._cond = threading.Condition()
         self._barriers: dict[str, _Rendezvous] = {}  # open uses only
         self._dead: set[int] = set()
+        self._local = threading.local()  # .failed: its collective's failures
         self._crash_schedule = list(crash_schedule)
         self.contexts = [ProcessContext(self, i) for i in range(process_count)]
         self.controller = ControllerContext(self)
@@ -174,6 +176,7 @@ class SimulatedRuntime:
                 )
         timeout = self.barrier_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout
+        failed = getattr(self._local, "failed", ())
         with self._cond:
             rv = self._barriers.setdefault(name, _Rendezvous())
             if process in rv.arrived:
@@ -188,6 +191,10 @@ class SimulatedRuntime:
                 self._cond.notify_all()
             try:
                 while len(rv.arrived) < self.process_count:
+                    if failed:
+                        raise PeerFailedError(
+                            f"barrier {name!r} aborted: a peer failed"
+                        ) from failed[0]
                     if self.backend.crashed:
                         raise SimulatedCrashError(
                             f"backend crashed while waiting at {name!r}"
@@ -266,9 +273,11 @@ class SimulatedRuntime:
     ) -> tuple[list[Any], list[tuple[int, BaseException]]]:
         """Run ``fn(context)`` on one thread per process index and join them
         all; returns the results in ``indices`` order and the failures as
-        (index, error) pairs sorted by index."""
+        (index, error) pairs sorted by index. The first failure aborts the
+        peers waiting at a barrier; the next collective starts afresh."""
+        failed: list[BaseException] = []
         tasks = [
-            (i, BackgroundTask(partial(fn, self.contexts[i]), f"{name}-{i}"))
+            (i, BackgroundTask(partial(self._task, fn, failed, i), f"{name}-{i}"))
             for i in indices
         ]
         results: list[Any] = []
@@ -279,6 +288,14 @@ class SimulatedRuntime:
             except BaseException as e:  # noqa: BLE001 - gathered for the caller
                 failures.append((i, e))
         return results, sorted(failures, key=lambda f: f[0])
+
+    def _task(self, fn, failed: list[BaseException], index: int) -> Any:
+        self._local.failed = failed
+        try:
+            return fn(self.contexts[index])
+        except BaseException as e:
+            failed.append(e)  # waiters poll it every _POLL_INTERVAL
+            raise
 
 
 class ProcessContext:

@@ -36,6 +36,10 @@ class MissingKeyError(BackendError, KeyError):
         return Exception.__str__(self)
 
 
+class ByteRangeError(BackendError):
+    """A byte range lies outside the value stored at its key."""
+
+
 class SimulatedCrashError(BackendError):
     """Injected crash: the whole job is considered dead from this point."""
 
@@ -70,6 +74,10 @@ class CoordinationError(TreevaultError):
 
 class BarrierTimeoutError(CoordinationError):
     """A barrier did not complete before its timeout."""
+
+
+class PeerFailedError(CoordinationError):
+    """A peer failed while this process waited at a barrier."""
 
 
 class ProcessCrashedError(CoordinationError):

@@ -10,8 +10,12 @@ that subset; abstract paths missing from the checkpoint come back as
 PLACEHOLDER leaves for the caller to fill in.
 
 Each simulated process reads the global index ranges its own devices need
-(deduplicated within the process), and the global arrays are assembled only
-once every process has delivered its pieces.
+(deduplicated within the process) straight into views of one destination
+array per array leaf, so each loaded byte is copied once; the plan checks
+that the boxes tile each leaf before any payload is read. Process p
+allocates the leaves whose index is p modulo the process count, on its own
+thread (so in its own malloc arena), before a barrier; a single controller
+allocates them all.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .save_pipeline import (
 from .sharding import (
     Mesh,
     Range,
-    Shard,
     replica_groups,
     shards_of,
     sharding_from_descriptor,
@@ -89,7 +92,7 @@ class LoadDirective:
     target: AbstractLeaf
     inline_doc: dict | None = None
     source_meta: ArrayStorageMetadata | None = None
-    shard_reads: list[Shard] = field(default_factory=list)
+    reads: dict[int, list[tuple[Range, ...]]] = field(default_factory=dict)
 
     @property
     def placeholder(self) -> bool:
@@ -98,8 +101,6 @@ class LoadDirective:
 
 @dataclass
 class LoadPlan:
-    mode: str
-    broadcast: bool
     directives: dict[str, list[LoadDirective]]
     skeletons: dict[str, Any]  # AbstractTree or TreeStructureDoc per name
     documents: dict[str, Any]  # name -> abstract (stateful object or None)
@@ -208,18 +209,6 @@ def _resolve_target(
     return replace(
         abstract_leaf, shape=shape, dtype=abstract_leaf.dtype or source.dtype
     )
-
-
-def _array_shards(target: AbstractLeaf) -> list[Shard]:
-    if target.sharding is None:
-        return []
-    sharding = target.sharding
-    if tuple(sharding.global_shape) != tuple(target.shape or ()):
-        raise ShardingError(
-            f"target sharding shape {sharding.global_shape} does not match "
-            f"leaf shape {target.shape}"
-        )
-    return shards_of(sharding)
 
 
 def build_plan(
@@ -334,8 +323,7 @@ def build_plan(
                     target,
                     source_meta=storage,
                 )
-                if target.variant == "array" and target.sharding is not None:
-                    directive.shard_reads = _array_shards(target)
+                directive.reads = _read_table(directive, options.broadcast)
                 out.append(directive)
             else:
                 out.append(
@@ -353,19 +341,28 @@ def build_plan(
             abstract if abstract is not None else meta.structure(name)
         )
 
-    plan = LoadPlan(options.mode, options.broadcast, directives, skeletons, documents)
-    if options.broadcast:
-        _validate_broadcast(plan)
-    return plan
+    return LoadPlan(directives, skeletons, documents)
 
 
-def _validate_broadcast(plan: LoadPlan) -> None:
-    for dirs in plan.directives.values():
-        for d in dirs:
-            sharding = d.target.sharding
-            if d.source != "array" or sharding is None:
-                continue
-            mesh = sharding.mesh
+def _read_table(d: LoadDirective, broadcast: bool) -> dict[int, list[tuple[Range, ...]]]:
+    """Which distinct boxes of an array leaf each process reads: its own
+    devices' shards (only replica group 0's when broadcasting), or the whole
+    leaf on process 0 when the target is unsharded. Raises LoadError unless
+    the boxes tile the leaf."""
+    shape = d.source_meta.global_shape
+    sharding = d.target.sharding
+    table: dict[int, dict[tuple[Range, ...], None]] = {}
+    if sharding is None:
+        table[0] = {tuple((0, e) for e in shape): None}
+    elif d.target.variant == "array":
+        if tuple(sharding.global_shape) != tuple(d.target.shape or ()):
+            raise ShardingError(
+                f"target sharding shape {sharding.global_shape} does not match "
+                f"leaf shape {d.target.shape}"
+            )
+        mesh = sharding.mesh
+        allowed = None
+        if broadcast:
             if mesh.replica_axis is None:
                 raise ShardingError(
                     f"broadcast load of {d.scoped_path!r} requires a mesh "
@@ -377,9 +374,37 @@ def _validate_broadcast(plan: LoadPlan) -> None:
                     f"{d.scoped_path!r} (it is partitioned over the replica "
                     "axis)"
                 )
+            allowed = replica_groups(mesh)[0].devices
+        for shard in shards_of(sharding):
+            if allowed is None or shard.device in allowed:
+                table.setdefault(mesh.process_of(shard.device), {})[shard.ranges] = None
+    # Distinct boxes tile the shape iff each axis's intervals partition
+    # [0, g) and every combination of one interval per axis is a box.
+    boxes = {box for owned in table.values() for box in owned}
+    axes = [sorted({box[a] for box in boxes}) for a in range(len(shape))]
+    if len(boxes) != math.prod(map(len, axes)) or not all(
+        map(_partitions, axes, shape)
+    ):
+        raise LoadError(f"the planned reads do not cover {d.scoped_path!r}")
+    return {p: list(owned) for p, owned in table.items()}
 
 
-_ReadPiece = tuple[str, tuple[Range, ...], np.ndarray]
+def _partitions(intervals: list[Range], extent: int) -> bool:
+    """Whether sorted distinct intervals partition ``[0, extent)``."""
+    ends = [0] + [o + e for o, e in intervals]  # the k-th starts at ends[k]
+    return [o for o, _ in intervals] == ends[:-1] and ends[-1] == extent
+
+
+def _array_directives(plan: LoadPlan) -> list[LoadDirective]:
+    return [d for ds in plan.directives.values() for d in ds if d.source == "array"]
+
+
+def _destinations(directives: list[LoadDirective]) -> dict[str, np.ndarray]:
+    """An uninitialised array of each leaf's stored shape and dtype."""
+    return {
+        d.scoped_path: np.empty(d.source_meta.global_shape, numpy_dtype(d.source_meta.dtype))
+        for d in directives
+    }
 
 
 def _execute_reads(
@@ -387,50 +412,19 @@ def _execute_reads(
     process_index: int,
     meta: CheckpointMetadata,
     plan: LoadPlan,
-) -> list[_ReadPiece]:
-    """Read the ranges this process's devices need; dedup within process."""
+    dests: dict[str, np.ndarray],
+) -> None:
+    """Read this process's boxes straight into views of the destinations."""
     reader = ChunkReader(store, meta.path, meta.merged_index)
-    pieces: list[_ReadPiece] = []
-    for dirs in plan.directives.values():
-        for d in dirs:
-            if d.source != "array":
-                continue
-            sharding = d.target.sharding
-            if sharding is None:
-                if process_index == 0:
-                    shape = d.source_meta.global_shape
-                    ranges = tuple((0, e) for e in shape)
-                    data, _ = reader.read_range(d.scoped_path, ranges)
-                    pieces.append((d.scoped_path, ranges, data))
-                continue
-            mesh = sharding.mesh
-            allowed = None
-            if plan.broadcast:
-                allowed = replica_groups(mesh)[0].devices
-            seen: set[tuple[Range, ...]] = set()
-            for shard in d.shard_reads:
-                if mesh.process_of(shard.device) != process_index:
-                    continue
-                if allowed is not None and shard.device not in allowed:
-                    continue
-                if shard.ranges in seen:
-                    continue
-                seen.add(shard.ranges)
-                data, _ = reader.read_range(d.scoped_path, shard.ranges)
-                pieces.append((d.scoped_path, shard.ranges, data))
-    return pieces
+    for d in _array_directives(plan):
+        for box in d.reads.get(process_index, ()):
+            sel = (*(slice(o, o + e) for o, e in box), ...)  # a view at rank 0 too
+            reader.read_range(d.scoped_path, box, out=dests[d.scoped_path][sel])
 
 
 def _assemble(
-    meta: CheckpointMetadata,
-    plan: LoadPlan,
-    pieces: list[_ReadPiece],
-    documents: dict[str, Any],
+    plan: LoadPlan, dests: dict[str, np.ndarray], documents: dict[str, Any]
 ) -> dict[str, Any]:
-    by_path: dict[str, list[tuple[tuple[Range, ...], np.ndarray]]] = {}
-    for scoped, ranges, data in pieces:
-        by_path.setdefault(scoped, []).append((ranges, data))
-
     result: dict[str, Any] = {}
     for name, dirs in plan.directives.items():
         leaves: dict[str, Leaf] = {}
@@ -441,19 +435,7 @@ def _assemble(
             if d.source == "inline":
                 leaf = inline_to_leaf(d.inline_doc)
             else:
-                storage = d.source_meta
-                nd = numpy_dtype(storage.dtype)
-                out = np.empty(storage.global_shape, nd)
-                filled = np.zeros(storage.global_shape, bool)
-                for ranges, data in by_path.get(d.scoped_path, []):
-                    sel = tuple(slice(o, o + e) for o, e in ranges)
-                    out[sel] = data
-                    filled[sel] = True
-                if not filled.all():
-                    raise LoadError(
-                        f"incomplete read coverage for {d.scoped_path!r}"
-                    )
-                leaf = DenseArray(storage.dtype, out)
+                leaf = DenseArray(d.source_meta.dtype, dests[d.scoped_path])
             # Casts run after assembly, per leaf, before the tree is built.
             leaves[d.leaf_path] = cast_leaf(leaf, d.target)
 
@@ -520,32 +502,33 @@ def load_checkpoint(
     path = path.rstrip("/")
 
     if runtime.mode is Mode.MULTI_CONTROLLER:
+        dests: dict[str, np.ndarray] = {}
 
         def per_process(ctx: ProcessContext):
             meta = checkpoint_metadata(ctx.store, path)
             plan = build_plan(meta, abstracts, options, current_mesh)
             _check_plan_matches_runtime(plan, runtime)
-            pieces = _execute_reads(ctx.store, ctx.index, meta, plan)
+            mine = _array_directives(plan)[ctx.index :: runtime.process_count]
+            dests.update(_destinations(mine))
+            ctx.barrier(f"load:{path}/allocated")
+            _execute_reads(ctx.store, ctx.index, meta, plan, dests)
             docs = _read_documents(ctx.store, path, plan) if ctx.is_leader else {}
             # No process returns before every shard everywhere was read.
             ctx.barrier(f"load:{path}/complete")
-            return meta, plan, pieces, docs
+            return plan, docs
 
-        results = runtime.run_collective(per_process)
-        meta, plan, _, docs = results[0]
-        pieces = [p for _, _, ps, _ in results for p in ps]
-        return _assemble(meta, plan, pieces, docs)
+        plan, docs = runtime.run_collective(per_process)[0]
+        return _assemble(plan, dests, docs)
 
     controller = runtime.controller
     meta = checkpoint_metadata(controller.store, path)
     plan = build_plan(meta, abstracts, options, current_mesh)
     _check_plan_matches_runtime(plan, runtime)
-    worker_pieces = controller.run_on_workers(
-        lambda ctx: _execute_reads(ctx.store, ctx.index, meta, plan)
+    dests = _destinations(_array_directives(plan))
+    controller.run_on_workers(
+        lambda ctx: _execute_reads(ctx.store, ctx.index, meta, plan, dests)
     )
-    docs = _read_documents(controller.store, path, plan)
-    pieces = [p for ps in worker_pieces for p in ps]
-    return _assemble(meta, plan, pieces, docs)
+    return _assemble(plan, dests, _read_documents(controller.store, path, plan))
 
 
 def load_with_broadcast(

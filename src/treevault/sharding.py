@@ -50,6 +50,8 @@ class Mesh:
             raise ShardingError("process indices must be contiguous from 0")
         if self.replica_axis is not None and self.replica_axis not in self.axis_names:
             raise ShardingError(f"unknown replica axis {self.replica_axis!r}")
+        by_device = dict(zip(self.devices, self.device_processes))
+        object.__setattr__(self, "_process_by_device", by_device)  # frozen
 
     @classmethod
     def create(
@@ -98,7 +100,7 @@ class Mesh:
         return tuple(reversed(out))
 
     def process_of(self, device: DeviceId) -> ProcessIndex:
-        return self.device_processes[self.devices.index(device)]
+        return self._process_by_device[device]
 
     def devices_of_process(self, process: ProcessIndex) -> list[DeviceId]:
         return [

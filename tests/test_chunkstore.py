@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DTYPES
 from oracles import bytes_loaded_oracle, pack_files, slab_contiguous
-from treevault import FilesystemBackend, MemoryBackend
+from treevault import FaultPlan, FilesystemBackend, MemoryBackend
 from treevault.chunkstore import (
     AGGREGATED,
     AggregatedManifest,
@@ -32,6 +32,7 @@ from treevault.errors import (
     CorruptionError,
     DuplicateChunkError,
     MissingKeyError,
+    SimulatedCrashError,
 )
 
 
@@ -326,6 +327,55 @@ class TestReadRange:
             assert np.array_equal(out, data[2 * i : 2 * i + 2])
         assert len(parses) == 1
 
+    @pytest.mark.parametrize("layout", [PER_LEAF, AGGREGATED])
+    @pytest.mark.parametrize("read", [(4, 8), (1, 8)], ids=["whole", "byte_range"])
+    def test_reads_into_given_view(self, backend, layout, read):
+        data = np.arange(64, dtype=np.float32).reshape(8, 8)
+        meta = meta_for((8, 8), shard=(4, 8), read=read, layout=layout)
+        reader, _, _ = single_writer_checkpoint(backend, {"w": (data, meta)}, layout)
+        dest = np.full((8, 12), -1, np.float32)
+        view = dest[2:6, 3:11]  # strided: a box inside a wider destination
+        out, stats = reader.read_range("w", ((2, 4), (0, 8)), out=view)
+        assert out is view
+        assert np.array_equal(dest[2:6, 3:11], data[2:6])
+        dest[2:6, 3:11] = -1
+        assert (dest == -1).all()  # nothing outside the view was written
+        # whole: both 128-byte chunks fetched; byte_range: the four rows only
+        assert stats.bytes_loaded == (256 if read == (4, 8) else 128)
+
+    @pytest.mark.parametrize(
+        "dest",
+        [np.empty((4, 7), np.float32), np.empty((4, 8), np.float64)],
+        ids=["shape", "dtype"],
+    )
+    def test_destination_must_fit(self, backend, dest):
+        data = np.arange(64, dtype=np.float32).reshape(8, 8)
+        reader, _, _ = single_writer_checkpoint(backend, {"w": (data, meta_for((8, 8)))})
+        before = backend.counters()
+        with pytest.raises(ChunkStoreError, match="destination .* does not fit 'w'"):
+            reader.read_range("w", ((0, 4), (0, 8)), out=dest)
+        assert backend.counters().minus(before).op_count() == 0
+
+    @pytest.mark.parametrize("layout", [PER_LEAF, AGGREGATED])
+    @pytest.mark.parametrize("damage", ["truncate", "delete", "crash"])
+    def test_range_read_of_damaged_chunk(self, backend, layout, damage):
+        data = np.arange(256, dtype=np.float32).reshape(16, 16)
+        meta = meta_for((16, 16), read=(4, 16), layout=layout)
+        reader, _, store = single_writer_checkpoint(backend, {"w": (data, meta)}, layout)
+        key = "ck/process_0/" + ("w/c.0.0" if layout == PER_LEAF else "d/0")
+        if damage == "truncate":
+            store.put(key, backend.dump()[key][:-4])
+            expected = CorruptionError
+            match = r"^w chunk 0\.0: range \[768, 1024\) outside key "
+        elif damage == "delete":
+            store.delete(key)
+            expected, match = MissingKeyError, None
+        else:
+            backend.set_fault_plan(FaultPlan(crash_after_ops=backend.op_count()))
+            expected, match = SimulatedCrashError, None
+        with pytest.raises(expected, match=match):
+            reader.read_range("w", ((12, 4), (0, 16)))  # one 256-byte range read
+
     def test_out_of_bounds_request(self, backend):
         reader, _, _ = single_writer_checkpoint(
             backend, {"w": (np.zeros((4,), np.float32), meta_for((4,)))}
@@ -551,6 +601,16 @@ class TestMerge:
 
 
 class TestCounters:
+    def test_memory_get_range_is_read_only_view(self, backend):
+        store = backend.store()
+        store.put("k", bytes(range(16)))
+        got = store.get_range("k", 4, 8)
+        assert got == bytes(range(4, 12))
+        assert memoryview(got).readonly
+        with pytest.raises(TypeError):
+            got[0] = 0
+        assert backend.counters().bytes_read == 8
+
     def test_exact_byte_accounting(self, backend):
         data = np.arange(64, dtype=np.float32).reshape(8, 8)
         meta = meta_for((8, 8), shard=(2, 8))

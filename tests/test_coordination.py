@@ -26,6 +26,7 @@ from treevault.errors import (
     BroadcastPayloadError,
     CoordinationError,
     InjectedFaultError,
+    PeerFailedError,
     ProcessCrashedError,
     WorkerTaskError,
 )
@@ -104,6 +105,75 @@ class TestBarrier:
             rt.barrier("x", 0, timeout=0.5)
         rt.barrier("x", 1, timeout=5.0)  # releases the waiter
         waiter.join()
+
+
+class FailsFirstSave:
+    """A stateful checkpointable whose first ``save()`` call raises."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def save(self):
+        with self._lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            raise RuntimeError("first save fails")
+        return {"calls": self.calls}
+
+    def load(self, state):
+        pass
+
+
+class TestCollectiveAbort:
+    def test_failed_task_aborts_waiting_peers(self, backend):
+        rt = make_runtime(backend, 4, barrier_timeout=10.0)
+        waited = {}
+
+        def body(ctx):
+            if ctx.index == 2:
+                time.sleep(0.05)  # let the others start waiting
+                raise RuntimeError("boom")
+            try:
+                ctx.barrier("sync")
+            except PeerFailedError as e:
+                waited[ctx.index] = e
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="boom") as err:
+            rt.run_collective(body)
+        assert time.monotonic() - start < 1.0
+        assert sorted(waited) == [0, 1, 3]
+        assert all(e.__cause__ is err.value for e in waited.values())
+        assert rt._barriers == {}
+
+    def test_next_collective_starts_afresh(self, backend):
+        rt = make_runtime(backend, 3)
+
+        def fail_on_one(ctx):
+            if ctx.index == 1:
+                raise RuntimeError("boom")
+            ctx.barrier("sync")
+
+        with pytest.raises(RuntimeError):
+            rt.run_collective(fail_on_one)
+        assert rt.run_collective(lambda ctx: ctx.barrier("sync")) == [None] * 3
+
+    def test_failed_validation_aborts_save_and_retry_loads(self, backend):
+        rt = make_runtime(backend, 2, barrier_timeout=10.0)
+        mesh = simple_mesh(2, 2)
+        tree = {"w": DenseArray("f32", np.arange(32, dtype=np.float32).reshape(8, 4))}
+        shardings = {"m": {"w": sharded(mesh, (8, 4), "data")}}
+        state = FailsFirstSave()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="first save fails"):
+            save_checkpoint(rt, "ck", {"m": tree, "state": state}, shardings).wait()
+        assert time.monotonic() - start < 2.0  # not the 10 s barrier timeout
+        save_checkpoint(rt, "ck", {"m": tree, "state": state}, shardings).wait()
+        out = load_checkpoint(rt, "ck", {"m": abstract_of(tree, shardings["m"])})
+        assert tree_equal(out["m"], tree)
 
 
 class TestRendezvousLifecycle:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -33,6 +34,9 @@ from treevault.errors import (
     StructureMismatchError,
     TopologyError,
 )
+from treevault import load_pipeline
+from treevault.chunkstore import ChunkReader
+from treevault.coordination import Mode
 from treevault.load_pipeline import LoadOptions, build_plan
 from treevault.treemodel import as_tree
 
@@ -99,7 +103,10 @@ class TestPlan:
         dirs = {d.leaf_path: d for d in plan.directives["model"]}
         assert set(dirs) == {"layers/0/w", "lr", "note"}
         assert dirs["layers/0/w"].source == "array"
-        assert len(dirs["layers/0/w"].shard_reads) == mesh.device_count
+        # 4 devices over 2 processes, one distinct box of 2 rows per device
+        assert dirs["layers/0/w"].reads == {
+            p: [((2 * i, 2), (0, 8)) for i in (2 * p, 2 * p + 1)] for p in (0, 1)
+        }
         assert not any(d.placeholder for d in dirs.values())
 
     def test_partial_subset_omits_leaves(self, backend):
@@ -216,6 +223,53 @@ class TestLoad:
         backend.store().delete(chunk_keys[0])
         with pytest.raises(Exception):
             load_checkpoint(rt, "c/s0", current_mesh=mesh)
+
+    @pytest.mark.parametrize("mode", [Mode.MULTI_CONTROLLER, Mode.SINGLE_CONTROLLER])
+    @pytest.mark.parametrize("defect", ["gap", "overlap"])
+    def test_uncovered_leaf_fails_before_any_read(self, backend, monkeypatch, mode, defect):
+        _, _, tree, _ = saved_checkpoint(backend)
+        # A 2 x 2 grid of 4 x 4 boxes. Dropping one leaves every axis
+        # partitioned, so only the box count shows the gap; growing the
+        # first row to 5 rows keeps the count, so only the partition
+        # check shows the overlap.
+        grid = Mesh.create([("a", 2), ("b", 2)], process_count=2)
+        target = {"layers/0/w": sharded(grid, (8, 8), "a", "b")}
+        real = load_pipeline.shards_of
+
+        def flawed(sharding):
+            shards = real(sharding)
+            if defect == "gap":
+                return shards[1:]
+            return [
+                dataclasses.replace(s, ranges=((0, 5), s.ranges[1]))
+                if s.ranges[0] == (0, 4) else s
+                for s in shards
+            ]
+
+        monkeypatch.setattr(load_pipeline, "shards_of", flawed)
+        rt = make_runtime(backend, 2, mode=mode)
+        before = backend.counters()
+        with pytest.raises(LoadError, match="model/layers/0/w"):
+            load_checkpoint(rt, "c/s0", {"model": abstract_of(tree, target)})
+        assert backend.counters().minus(before).payload_bytes_read == 0
+
+    @pytest.mark.parametrize("mode", [Mode.MULTI_CONTROLLER, Mode.SINGLE_CONTROLLER])
+    def test_reads_land_in_the_returned_arrays(self, backend, monkeypatch, mode):
+        _, mesh, tree, shardings = saved_checkpoint(backend)
+        views = []
+        real = ChunkReader.read_range
+
+        def recording(self, leaf_path, ranges, out=None):
+            views.append(out)
+            return real(self, leaf_path, ranges, out)
+
+        monkeypatch.setattr(ChunkReader, "read_range", recording)
+        rt = make_runtime(backend, 2, mode=mode)
+        out = load_checkpoint(rt, "c/s0", {"model": abstract_of(tree, shardings["model"])})
+        w = out["model"]["layers"]["0"]["w"].data
+        assert len(views) == mesh.device_count
+        assert all(v is not None and np.shares_memory(v, w) for v in views)
+        assert tree_equal(out["model"], tree)
 
     @pytest.mark.parametrize("change", [-4, 4], ids=["truncated", "padded"])
     def test_wrong_size_chunk_names_leaf_and_chunk(self, backend, change):

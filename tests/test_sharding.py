@@ -33,6 +33,20 @@ class TestMesh:
         assert mesh.devices_of_process(0) == [0, 1]
         assert mesh.coords(5) == (2, 1)
 
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            Mesh.create([("a", 4), ("b", 2)], process_count=4),
+            Mesh.create([("replica", 2), ("fsdp", 8)], process_count=4, replica_axis="replica"),
+            Mesh(("x",), (6,), (11, 3, 7, 0, 5, 9), (1, 0, 2, 2, 0, 1)),
+        ],
+        ids=["4x2", "replica2xfsdp8", "permuted"],
+    )
+    def test_process_of_agrees_with_index_lookup(self, mesh):
+        for device in mesh.devices:
+            expected = mesh.device_processes[mesh.devices.index(device)]
+            assert mesh.process_of(device) == expected
+
     def test_uneven_process_split_rejected(self):
         with pytest.raises(ShardingError):
             Mesh.create([("a", 4)], process_count=3)

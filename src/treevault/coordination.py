@@ -10,6 +10,14 @@ deployments:
 * single-controller: a central controller orchestrates and dispatches task
   closures onto worker processes, which perform their own storage I/O.
 
+Protocols are written once against :meth:`SimulatedRuntime.run_program`,
+which runs a program on every process or once on the controller; the
+mode chooses only where a step runs. A program's context offers
+``barrier``, ``leader_broadcast``, ``is_leader`` and ``each(step)``: a
+process runs its own part of a per-process step, the controller runs it
+on every worker. The controller is its own leader, so its barriers do
+nothing and its broadcasts return their payload.
+
 A seeded scheduler injects random delays before storage operations and
 barrier arrivals so tests can explore interleavings reproducibly. Crash
 schedules kill individual processes at named barriers; a crashed backend
@@ -222,19 +230,21 @@ class SimulatedRuntime:
     def _broadcast(self, name: str, process: int, payload: bytes | None) -> bytes:
         if self.mode is not Mode.MULTI_CONTROLLER:
             raise CoordinationError("broadcast requires multi-controller mode")
-        if process == 0:
-            if payload is None:
-                raise CoordinationError("leader must supply a payload")
-            if len(payload) > MAX_BROADCAST_BYTES:
-                raise BroadcastPayloadError(
-                    f"broadcast payload of {len(payload)} bytes exceeds "
-                    f"{MAX_BROADCAST_BYTES}"
-                )
         # Only the leader's payload travels; followers' are ignored.
-        leader_payload = bytes(payload) if process == 0 else None
+        leader_payload = _leader_payload(payload) if process == 0 else None
         return self.barrier(f"{name}/bcast", process, payload=leader_payload)
 
     # -- execution ---------------------------------------------------------
+
+    def run_program(
+        self, fn: Callable[["ProcessContext | ControllerContext"], Any]
+    ) -> list[Any]:
+        """Run the program ``fn(context)`` on every process (multi-controller)
+        or once on the controller (single-controller); returns each run's
+        result, the leader's first."""
+        if self.mode is Mode.SINGLE_CONTROLLER:
+            return [fn(self.controller)]
+        return self.run_collective(fn)
 
     def run_collective(self, fn: Callable[["ProcessContext"], Any]) -> list[Any]:
         """Run ``fn(context)`` concurrently on every process and gather results.
@@ -298,6 +308,17 @@ class SimulatedRuntime:
             raise
 
 
+def _leader_payload(payload: bytes | None) -> bytes:
+    if payload is None:
+        raise CoordinationError("leader must supply a payload")
+    if len(payload) > MAX_BROADCAST_BYTES:
+        raise BroadcastPayloadError(
+            f"broadcast payload of {len(payload)} bytes exceeds "
+            f"{MAX_BROADCAST_BYTES}"
+        )
+    return bytes(payload)
+
+
 class ProcessContext:
     """One simulated process: its identity, storage handle, and primitives."""
 
@@ -331,14 +352,32 @@ class ProcessContext:
         self.sched_point()
         return self.runtime._broadcast(name, self.index, payload)
 
+    def each(self, step: Callable[["ProcessContext"], Any]) -> list[Any]:
+        """Run this process's own part of a per-process step."""
+        return [step(self)]
+
 
 class ControllerContext:
-    """The orchestrating endpoint of a single-controller runtime."""
+    """The orchestrating endpoint of a single-controller runtime: the one
+    instance of a program, and so its leader."""
+
+    index = 0
+    is_leader = True
 
     def __init__(self, runtime: SimulatedRuntime):
         self.runtime = runtime
         self.identity = "controller"
         self.store: Store = runtime.backend.store(self.identity)
+
+    def barrier(self, name: str, timeout: float | None = None) -> None:
+        """Nothing to wait for: the controller is the only participant."""
+
+    def leader_broadcast(self, name: str, payload: bytes | None = None) -> bytes:
+        return _leader_payload(payload)
+
+    def each(self, step: Callable[[ProcessContext], Any]) -> list[Any]:
+        """Run a per-process step on every worker; results in worker order."""
+        return self.runtime.run_on_workers(step)
 
     def run_on_workers(
         self,

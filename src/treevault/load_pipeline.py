@@ -9,13 +9,15 @@ Partial mode relaxes the structure contract: an abstract subset loads only
 that subset; abstract paths missing from the checkpoint come back as
 PLACEHOLDER leaves for the caller to fill in.
 
-Each simulated process reads the global index ranges its own devices need
-(deduplicated within the process) straight into views of one destination
-array per array leaf, so each loaded byte is copied once; the plan checks
-that the boxes tile each leaf before any payload is read. Process p
-allocates the leaves whose index is p modulo the process count, on its own
-thread (so in its own malloc arena), before a barrier; a single controller
-allocates them all.
+The load is one program of the runtime: metadata, plan and documents are
+read by each process, or once by a single controller, and the per-process
+step runs on every process in both modes. Each process reads the global
+index ranges its own devices need (deduplicated within the process)
+straight into views of one destination array per array leaf, so each
+loaded byte is copied once; the plan checks that the boxes tile each leaf
+before any payload is read. Process p allocates the leaves whose index is
+p modulo the process count, on its own thread (so in its own malloc
+arena), before a barrier.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import docio, treemodel
 from .backend import Store
 from .chunkstore import ArrayStorageMetadata, ChunkReader
-from .coordination import BackgroundTask, Mode, ProcessContext, SimulatedRuntime
+from .coordination import BackgroundTask, ProcessContext, SimulatedRuntime
 from .dtypes import numpy_dtype
 from .errors import (
     CorruptionError,
@@ -104,9 +106,6 @@ class LoadPlan:
     directives: dict[str, list[LoadDirective]]
     skeletons: dict[str, Any]  # AbstractTree or TreeStructureDoc per name
     documents: dict[str, Any]  # name -> abstract (stateful object or None)
-
-    def directive_count(self) -> int:
-        return sum(len(d) for d in self.directives.values())
 
 
 class CheckpointMetadata:
@@ -501,34 +500,27 @@ def load_checkpoint(
     options = options or LoadOptions()
     path = path.rstrip("/")
 
-    if runtime.mode is Mode.MULTI_CONTROLLER:
-        dests: dict[str, np.ndarray] = {}
+    dests: dict[str, np.ndarray] = {}
 
-        def per_process(ctx: ProcessContext):
-            meta = checkpoint_metadata(ctx.store, path)
-            plan = build_plan(meta, abstracts, options, current_mesh)
-            _check_plan_matches_runtime(plan, runtime)
-            mine = _array_directives(plan)[ctx.index :: runtime.process_count]
-            dests.update(_destinations(mine))
-            ctx.barrier(f"load:{path}/allocated")
-            _execute_reads(ctx.store, ctx.index, meta, plan, dests)
-            docs = _read_documents(ctx.store, path, plan) if ctx.is_leader else {}
-            # No process returns before every shard everywhere was read.
-            ctx.barrier(f"load:{path}/complete")
-            return plan, docs
+    def program(ctx) -> tuple[LoadPlan, dict[str, Any]]:
+        meta = checkpoint_metadata(ctx.store, path)
+        plan = build_plan(meta, abstracts, options, current_mesh)
+        _check_plan_matches_runtime(plan, runtime)
+        arrays = _array_directives(plan)
 
-        plan, docs = runtime.run_collective(per_process)[0]
-        return _assemble(plan, dests, docs)
+        def read(worker: ProcessContext) -> None:
+            dests.update(_destinations(arrays[worker.index :: runtime.process_count]))
+            worker.barrier(f"load:{path}/allocated")
+            _execute_reads(worker.store, worker.index, meta, plan, dests)
 
-    controller = runtime.controller
-    meta = checkpoint_metadata(controller.store, path)
-    plan = build_plan(meta, abstracts, options, current_mesh)
-    _check_plan_matches_runtime(plan, runtime)
-    dests = _destinations(_array_directives(plan))
-    controller.run_on_workers(
-        lambda ctx: _execute_reads(ctx.store, ctx.index, meta, plan, dests)
-    )
-    return _assemble(plan, dests, _read_documents(controller.store, path, plan))
+        ctx.each(read)
+        docs = _read_documents(ctx.store, path, plan) if ctx.is_leader else {}
+        # No process returns before every shard everywhere was read.
+        ctx.barrier(f"load:{path}/complete")
+        return plan, docs
+
+    plan, docs = runtime.run_program(program)[0]
+    return _assemble(plan, dests, docs)
 
 
 def load_with_broadcast(

@@ -1,13 +1,17 @@
 """The save protocol.
 
-A save runs in two phases. The synchronous phase validates inputs (names,
-tree structure, sharding divisibility, and a checked-before-created
-existence test on the target path) and deep-copies exactly the byte ranges
-this process will write. The asynchronous phase then writes chunk data
-under a temporary location, merges per-process metadata, and commits
-atomically: a directory rename when the backend supports it, otherwise a
-COMMIT indicator file written last. Until the commit lands, the checkpoint
-does not exist as far as readers are concerned.
+A save runs in two phases, each one program of the runtime (on every
+process, or once on a single controller). The synchronous phase validates
+inputs (names, tree structure, sharding divisibility, and a
+checked-before-created existence test on the target path) and has each
+process deep-copy exactly the byte ranges it will write. The asynchronous
+phase, one background task, then writes chunk data under a temporary
+location, merges per-process metadata, and commits atomically: a
+directory rename when the backend supports it, otherwise a COMMIT
+indicator file written last. Until the commit lands, the checkpoint does
+not exist as far as readers are concerned. A failure anywhere in it
+aborts the other processes; the leader removes the temporary data once
+they all stopped.
 
 Key layout per checkpoint::
 
@@ -22,8 +26,8 @@ Key layout per checkpoint::
 
 from __future__ import annotations
 
-import copy
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
@@ -40,13 +44,7 @@ from .chunkstore import (
     ProcessArrayWriter,
     process_dir,
 )
-from .coordination import (
-    BackgroundTask,
-    Mode,
-    ProcessContext,
-    SimulatedRuntime,
-    primary_error,
-)
+from .coordination import BackgroundTask, ProcessContext, SimulatedRuntime
 from .errors import (
     MissingKeyError,
     PreExistingCheckpointError,
@@ -206,21 +204,19 @@ class _TreeEntry:
 # Per array leaf: the leaf, its storage metadata, its sharding descriptor
 # and its sharding.
 _LeafPlan = tuple[DenseArray, ArrayStorageMetadata, Optional[dict], Optional[Sharding]]
+# Per array leaf: the boxes one process writes, with their copied bytes.
+_Snapshot = dict[str, list[tuple[tuple[Range, ...], np.ndarray]]]
 
 
 class SaveSession:
-    """State machine of one in-flight save on one process (or controller)."""
+    """State machine of one in-flight save in one run of the save program
+    (on a process, or on the controller): its validated plan, and the
+    leader's storage actions."""
 
     def __init__(
-        self,
-        store: Store,
-        process_index: int,
-        process_count: int,
-        path: str,
-        options: SaveOptions,
+        self, store: Store, process_count: int, path: str, options: SaveOptions
     ):
         self.store = store
-        self.process_index = process_index
         self.process_count = process_count
         self.path = path.rstrip("/")
         self.options = options
@@ -229,23 +225,13 @@ class SaveSession:
         )
         self.tmp_path = self.path  # rename style swaps in a sibling later
         self.phase = "validating"
-        self.leader_actions: dict[str, int] = {}
+        self.leader_actions: Counter[str] = Counter()
         self.observed_existing: list[str] = []
         self._trees: dict[str, _TreeEntry] = {}
         self._documents: dict[str, Any] = {}
         self._descriptors: list[tuple[str, str]] = []
         self._inline: dict[str, dict[str, dict]] = {}
         self._leaf_meta: dict[str, _LeafPlan] = {}
-        self._snapshot: dict[str, list[tuple[tuple[Range, ...], np.ndarray]]] = {}
-
-    def view_for(self, store: Store, process_index: int) -> "SaveSession":
-        """This validated session as one worker sees it: the same plan, with
-        the worker's own store, index and snapshot."""
-        view = copy.copy(self)
-        view.store = store
-        view.process_index = process_index
-        view._snapshot = {}
-        return view
 
     def _advance(self, phase: str) -> None:
         if PHASES.index(phase) < PHASES.index(self.phase):
@@ -325,25 +311,20 @@ class SaveSession:
                 f"finalized checkpoint already present at {self.path!r}"
             )
 
-    def take_snapshot(self) -> None:
-        """Deep-copy exactly the byte ranges this process will write."""
+    def take_snapshot(self, process_index: int) -> _Snapshot:
+        """Deep-copy exactly the byte ranges one process will write."""
+        snapshot: _Snapshot = {}
         for scoped, (leaf, _, _, sharding) in self._leaf_meta.items():
             pieces = []
             for ranges in write_ranges_for_process(
-                sharding,
-                leaf.shape,
-                self.process_index,
-                self.options.replica_parallel,
+                sharding, leaf.shape, process_index, self.options.replica_parallel
             ):
                 sel = tuple(slice(o, o + e) for o, e in ranges)
                 pieces.append((ranges, leaf.data[sel].copy()))
-            self._snapshot[scoped] = pieces
-        self._advance("snapshotted")
+            snapshot[scoped] = pieces
+        return snapshot
 
     # -- asynchronous phase ---------------------------------------------------
-
-    def _count_leader_action(self, action: str) -> None:
-        self.leader_actions[action] = self.leader_actions.get(action, 0) + 1
 
     def global_metadata_doc(self) -> dict:
         return {
@@ -370,7 +351,7 @@ class SaveSession:
         """
         if self.commit_style == "indicator":
             delete_checkpoint(self.store, self.path)
-        self._count_leader_action("create_location")
+        self.leader_actions["create_location"] += 1
 
     def write_global_metadata(self) -> None:
         self.store.put(
@@ -382,22 +363,19 @@ class SaveSession:
                 f"{self.tmp_path}/{name}/{DOCUMENT_FILE}",
                 docio.dumps_canonical(doc),
             )
-        self._count_leader_action("global_metadata")
+        self.leader_actions["global_metadata"] += 1
 
-    def write_phase(self) -> dict:
-        """Write this process's snapshot chunks and per-process metadata."""
-        self._advance("writing")
+    def write_phase(self, worker: ProcessContext, snapshot: _Snapshot) -> dict:
+        """Write one process's snapshot chunks and per-process metadata."""
         writer = ProcessArrayWriter(
-            self.store,
-            process_dir(self.tmp_path, self.process_index),
+            worker.store,
+            process_dir(self.tmp_path, worker.index),
             self.options.layout,
             self.options.target_file_bytes,
         )
         for scoped in sorted(self._leaf_meta):
             _, meta, descriptor, _ = self._leaf_meta[scoped]
-            writer.write_array(
-                scoped, self._snapshot.get(scoped, []), meta, descriptor
-            )
+            writer.write_array(scoped, snapshot[scoped], meta, descriptor)
         return writer.finish()
 
     def finalize_phase(self) -> None:
@@ -409,12 +387,12 @@ class SaveSession:
         self.store.put(
             f"{self.tmp_path}/{MERGED_INDEX_FILE}", docio.dumps_canonical(merged)
         )
-        self._count_leader_action("merge")
+        self.leader_actions["merge"] += 1
         if self.commit_style == "rename":
             self.store.rename_prefix(self.tmp_path, self.path)
         else:
             self.store.put(f"{self.path}/{COMMIT_FILE}", b"COMMIT\n")
-        self._count_leader_action("commit")
+        self.leader_actions["commit"] += 1
         self._advance("finalized")
 
     def cleanup_failed(self) -> None:
@@ -426,135 +404,32 @@ class SaveSession:
             pass
 
 
-class SaveHandle(BackgroundTask):
-    """Join point for one process's background save phase."""
-
-    def __init__(self, session: SaveSession, body, sync: bool):
-        self.session = session
-        super().__init__(body, f"save-{session.process_index}", sync)
-
-
 class CheckpointSaveHandle:
-    """Aggregate handle over every participating process."""
+    """Join point of one save's background phase, with the session of each
+    run of the save program: every process's, or the controller's."""
 
-    def __init__(self, handles: list[SaveHandle], path: str):
-        self.handles = handles
+    def __init__(
+        self, task: BackgroundTask, sessions: list[SaveSession], path: str
+    ):
+        self._task = task
+        self.sessions = sessions
         self.path = path
 
     def wait(self) -> None:
-        errors: list[BaseException] = []
-        for h in self.handles:
-            try:
-                h.wait()
-            except BaseException as e:  # noqa: BLE001 - re-raised below
-                errors.append(e)
-        if errors:
-            raise primary_error(errors)
+        self._task.wait()
 
     def done(self) -> bool:
-        return all(h.done() for h in self.handles)
+        return self._task.done()
 
     @property
     def phases(self) -> list[str]:
-        return [h.session.phase for h in self.handles]
+        return [s.phase for s in self.sessions]
 
     def leader_action_counts(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for h in self.handles:
-            for action, n in h.session.leader_actions.items():
-                totals[action] = totals.get(action, 0) + n
-        return totals
+        return dict(sum((s.leader_actions for s in self.sessions), Counter()))
 
     def observed_existing(self) -> list[list[str]]:
-        return [h.session.observed_existing for h in self.handles]
-
-
-def _multi_controller_save(
-    ctx: ProcessContext,
-    path: str,
-    checkpointables: Mapping[str, Any],
-    shardings: Mapping[str, Mapping[str, Sharding]] | None,
-    options: SaveOptions,
-) -> SaveHandle:
-    session = SaveSession(
-        ctx.store, ctx.index, ctx.runtime.process_count, path, options
-    )
-    op = f"save:{session.path}"
-    session.validate(checkpointables, shardings)
-    session.check_target_free()
-    # Every process must finish its existence check before the leader
-    # creates anything, else a process could mistake the fresh location
-    # for a previous checkpoint.
-    ctx.barrier(f"{op}/validated")
-    if session.commit_style == "rename":
-        payload = temp_path(session.path).encode() if ctx.is_leader else None
-        session.tmp_path = ctx.leader_broadcast(f"{op}/nonce", payload).decode()
-    session.take_snapshot()
-
-    def background() -> None:
-        try:
-            if ctx.is_leader:
-                session.create_location()
-                session.write_global_metadata()
-            ctx.barrier(f"{op}/created")
-            session.write_phase()
-            ctx.barrier(f"{op}/written")
-            if ctx.is_leader:
-                session.finalize_phase()
-            else:
-                session._advance("merging")
-            ctx.barrier(f"{op}/finalized")
-            session._advance("finalized")
-        except BaseException:
-            session.phase = "failed"
-            if ctx.is_leader:
-                session.cleanup_failed()
-            raise
-
-    return SaveHandle(session, background, options.sync)
-
-
-def _single_controller_save(
-    runtime: SimulatedRuntime,
-    path: str,
-    checkpointables: Mapping[str, Any],
-    shardings: Mapping[str, Mapping[str, Sharding]] | None,
-    options: SaveOptions,
-) -> SaveHandle:
-    controller = runtime.controller
-    session = SaveSession(
-        controller.store, 0, runtime.process_count, path, options
-    )
-    session.validate(checkpointables, shardings)
-    session.check_target_free()
-    if session.commit_style == "rename":
-        session.tmp_path = temp_path(session.path)
-    # Device-to-host copies happen on the workers; each snapshots into its
-    # own view of the validated session, the controller never holds bulk
-    # bytes.
-    def snapshot_task(ctx: ProcessContext) -> SaveSession:
-        view = session.view_for(ctx.store, ctx.index)
-        view.take_snapshot()
-        return view
-
-    worker_sessions = controller.run_on_workers(snapshot_task)
-    session._advance("snapshotted")
-
-    def background() -> None:
-        try:
-            session.create_location()
-            session.write_global_metadata()
-            controller.run_on_workers(
-                lambda ctx: worker_sessions[ctx.index].write_phase()
-            )
-            session._advance("writing")
-            session.finalize_phase()
-        except BaseException:
-            session.phase = "failed"
-            session.cleanup_failed()
-            raise
-
-    return SaveHandle(session, background, options.sync)
+        return [s.observed_existing for s in self.sessions]
 
 
 def save_checkpoint(
@@ -573,16 +448,57 @@ def save_checkpoint(
     options = options or SaveOptions()
     if options.layout not in chunkstore.LAYOUTS:
         raise SaveError(f"unknown layout {options.layout!r}")
-    if runtime.mode is Mode.MULTI_CONTROLLER:
-        handles = runtime.run_collective(
-            lambda ctx: _multi_controller_save(
-                ctx, path, checkpointables, shardings, options
-            )
-        )
-    else:
-        handles = [
-            _single_controller_save(
-                runtime, path, checkpointables, shardings, options
-            )
-        ]
-    return CheckpointSaveHandle(handles, path.rstrip("/"))
+    path = path.rstrip("/")
+    op = f"save:{path}"
+    snapshots: dict[int, _Snapshot] = {}  # per process: the bytes it writes
+
+    def synchronous(ctx) -> SaveSession:
+        session = SaveSession(ctx.store, runtime.process_count, path, options)
+        session.validate(checkpointables, shardings)
+        session.check_target_free()
+        # Every process must finish its existence check before the leader
+        # creates anything, else a process could mistake the fresh location
+        # for a previous checkpoint.
+        ctx.barrier(f"{op}/validated")
+        if session.commit_style == "rename":
+            payload = temp_path(session.path).encode() if ctx.is_leader else None
+            session.tmp_path = ctx.leader_broadcast(f"{op}/nonce", payload).decode()
+        # Device-to-host copies run on the processes that own the devices;
+        # a controller never holds bulk bytes.
+        def snapshot(worker: ProcessContext) -> None:
+            snapshots[worker.index] = session.take_snapshot(worker.index)
+
+        ctx.each(snapshot)
+        session._advance("snapshotted")
+        return session
+
+    sessions = runtime.run_program(synchronous)
+
+    def background(ctx) -> None:
+        session = sessions[ctx.index]
+        try:
+            if ctx.is_leader:
+                session.create_location()
+                session.write_global_metadata()
+            ctx.barrier(f"{op}/created")
+            session._advance("writing")
+            ctx.each(lambda w: session.write_phase(w, snapshots[w.index]))
+            ctx.barrier(f"{op}/written")
+            if ctx.is_leader:
+                session.finalize_phase()
+            ctx.barrier(f"{op}/finalized")
+            session._advance("finalized")
+        except BaseException:
+            session.phase = "failed"
+            raise
+
+    def finish() -> None:
+        try:
+            runtime.run_program(background)
+        except BaseException:
+            # Only now has every process stopped writing.
+            sessions[0].cleanup_failed()
+            raise
+
+    task = BackgroundTask(finish, "save", options.sync)
+    return CheckpointSaveHandle(task, sessions, path)

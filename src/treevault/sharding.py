@@ -102,11 +102,6 @@ class Mesh:
     def process_of(self, device: DeviceId) -> ProcessIndex:
         return self._process_by_device[device]
 
-    def devices_of_process(self, process: ProcessIndex) -> list[DeviceId]:
-        return [
-            d for d, p in zip(self.devices, self.device_processes) if p == process
-        ]
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

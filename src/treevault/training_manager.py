@@ -19,7 +19,7 @@ from typing import Any, Mapping, Optional
 
 from . import docio
 from .backend import Store
-from .coordination import Mode, SimulatedRuntime
+from .coordination import SimulatedRuntime
 from .errors import BackendError, GarbageCollectionError, StepError, TreevaultError
 from .load_pipeline import LoadOptions, load_checkpoint
 from .save_pipeline import (
@@ -117,8 +117,8 @@ def scan_steps(store: Store, root: str) -> dict[int, bool]:
 def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
     """Highest finalized step under ``root``.
 
-    In multi-controller mode the listing runs on the leader only and the
-    result is broadcast; followers touch no storage.
+    The listing runs on the leader (or the controller) only and the result
+    is broadcast; followers touch no storage.
     """
     catalog = StepCatalog(root)
     catalog.steps = _collective_scan(runtime, root)
@@ -126,12 +126,9 @@ def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
 
 
 def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
-    if runtime.mode is Mode.SINGLE_CONTROLLER:
-        return scan_steps(runtime.controller.store, root)
-
     token = f"catalog:{root}:{time.monotonic_ns()}"
 
-    def per_process(ctx):
+    def program(ctx) -> dict[int, bool]:
         payload = None
         if ctx.is_leader:
             steps = scan_steps(ctx.store, root)
@@ -141,7 +138,7 @@ def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
         raw = ctx.leader_broadcast(token, payload)
         return {int(s): ok for s, ok in docio.loads(raw).items()}
 
-    return runtime.run_collective(per_process)[0]
+    return runtime.run_program(program)[0]
 
 
 class Checkpointer:

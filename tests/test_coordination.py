@@ -277,6 +277,37 @@ class TestBroadcast:
             rt.contexts[0].leader_broadcast("x", b"y")
 
 
+class TestRunProgram:
+    """One program, written once, in both modes: the mode chooses only
+    where each step runs."""
+
+    @staticmethod
+    def program(ctx):
+        ctx.barrier("start")
+        got = ctx.leader_broadcast("plan", b"plan" if ctx.is_leader else None)
+        parts = ctx.each(lambda worker: worker.index)
+        return ctx.index, got, parts
+
+    def test_multi_controller_runs_on_every_process(self, backend):
+        rt = make_runtime(backend, 3)
+        assert rt.run_program(self.program) == [
+            (0, b"plan", [0]),
+            (1, b"plan", [1]),
+            (2, b"plan", [2]),
+        ]
+
+    def test_single_controller_runs_once_and_steps_on_every_worker(self, backend):
+        rt = make_runtime(backend, 3, mode=Mode.SINGLE_CONTROLLER)
+        assert rt.run_program(self.program) == [(0, b"plan", [0, 1, 2])]
+
+    def test_controller_broadcast_keeps_the_payload_cap(self, backend):
+        rt = make_runtime(backend, 2, mode=Mode.SINGLE_CONTROLLER)
+        with pytest.raises(BroadcastPayloadError):
+            rt.controller.leader_broadcast("x", b"x" * (MAX_BROADCAST_BYTES + 1))
+        with pytest.raises(CoordinationError):
+            rt.controller.leader_broadcast("x")
+
+
 class TestRunOnWorkers:
     def test_acks_from_all_workers(self, backend):
         rt = make_runtime(backend, 4, mode=Mode.SINGLE_CONTROLLER)

@@ -2,7 +2,10 @@
 
 Package ``__init__.py`` files are skipped (their imports are re-exports),
 and so are ``from __future__`` imports. The benchmark tracer's targets are
-checked here too, so a renamed binding fails the test suite.
+checked here too, so a renamed binding fails the test suite. The controller
+mode has one home: protocols run through ``SimulatedRuntime.run_program``,
+so only the runtime, the CLI's ``--mode`` flag and the package exports
+name ``Mode``.
 """
 
 import ast
@@ -86,6 +89,38 @@ def test_checker_flags_unused_and_spares_used():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["Optional (line 3)", "fld (line 4)"]
+
+
+MODE_HOMES = {"coordination.py", "cli.py", "__init__.py"}
+
+
+def names_mode(source: str) -> bool:
+    """Whether a module imports ``Mode`` or reaches it as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "Mode" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "Mode":
+            return True
+    return False
+
+
+def test_only_mode_homes_name_mode():
+    naming = {
+        p.name
+        for p in PACKAGE.glob("*.py")
+        if names_mode(p.read_text(encoding="utf-8"))
+    }
+    assert naming <= MODE_HOMES
+    assert "cli.py" in naming  # the scan sees a real import
+
+
+def test_mode_checker_flags_imports_and_attributes():
+    assert names_mode("from .coordination import SimulatedRuntime, Mode\n")
+    assert names_mode("from .coordination import Mode as M\n")
+    assert names_mode("from . import coordination\nx = coordination.Mode\n")
+    assert not names_mode("def f(runtime, options):\n    return options.mode\n")
+    assert not names_mode("from .coordination import SimulatedRuntime\n")
 
 
 def test_tracer_targets_are_bound_on_their_owners():

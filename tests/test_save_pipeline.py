@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -28,8 +29,12 @@ from treevault.errors import (
     ShardingError,
     SimulatedCrashError,
     TreeError,
+    TreevaultError,
 )
 from treevault.treemodel import as_tree
+
+
+both_modes = pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 
 
 def small_tree():
@@ -202,9 +207,10 @@ class TestAsyncContract:
         out = load_checkpoint(rt, "c/s0", current_mesh=mesh)
         assert np.array_equal(out["model"]["w"].data, snapshot)
 
-    def test_gated_async_save_writes_no_payload(self, backend):
-        rt = make_runtime(backend, 2)
-        mesh = simple_mesh(2, 2)
+    @both_modes
+    def test_gated_async_save_writes_no_payload(self, backend, mode):
+        rt = make_runtime(backend, 4, mode=mode)
+        mesh = simple_mesh(4, 4)
         backend.set_payload_gate(True)
         handle = save_checkpoint(
             rt, "c/s0", {"model": small_tree()}, tree_shardings(mesh)
@@ -272,6 +278,41 @@ class TestFailures:
         assert residue
         assert not is_finalized(backend.store(), "c/s0")
 
+    @pytest.mark.parametrize("rename", [False, True], ids=["mem", "mem+rename"])
+    @both_modes
+    def test_failed_save_leaves_no_residue(self, mode, rename):
+        """The leader cleans up only once every process stopped writing, so
+        a peer's late chunk never outlives the cleanup."""
+        mesh = simple_mesh(4, 4)
+        for seed in range(20):
+            backend = MemoryBackend(supports_atomic_rename=rename)
+            backend.set_fault_plan(FaultPlan(fail_put_substring="process_0/model/w/c."))
+            rt = SimulatedRuntime(4, backend, mode=mode, barrier_timeout=10.0, seed=seed)
+            handle = save_checkpoint(
+                rt, "c/s0", {"model": small_tree()}, tree_shardings(mesh)
+            )
+            with pytest.raises(TreevaultError):
+                handle.wait()
+            residue = [k for k in backend.dump() if k.startswith("c/s0")]
+            assert residue == [], f"seed {seed}"
+
+    @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
+    def test_failed_put_aborts_peers_promptly(self, backend, sync):
+        rt = SimulatedRuntime(4, backend)  # the default 30 s barrier timeout
+        mesh = simple_mesh(4, 4)
+        backend.set_fault_plan(FaultPlan(fail_put_substring="process_0/model/w/c."))
+        start = time.monotonic()
+        handle = save_checkpoint(
+            rt,
+            "c/s0",
+            {"model": small_tree()},
+            tree_shardings(mesh),
+            SaveOptions(sync=sync),
+        )
+        with pytest.raises(InjectedFaultError):
+            handle.wait()
+        assert time.monotonic() - start < 2.0
+
     def test_crash_before_finalize_leaves_no_checkpoint(self, backend):
         rt = make_runtime(backend, 2, barrier_timeout=2.0)
         mesh = simple_mesh(2, 2)
@@ -335,7 +376,7 @@ class TestLeaderActions:
             "merge": 1,
             "commit": 1,
         }
-        followers = [h.session.leader_actions for h in handle.handles[1:]]
+        followers = [s.leader_actions for s in handle.sessions[1:]]
         assert all(actions == {} for actions in followers)
 
     def test_exactly_once_single_controller(self, backend):
@@ -446,3 +487,23 @@ class TestControllerModeEquivalence:
             ).wait()
             dumps[mode] = backend.dump()
         assert dumps[Mode.MULTI_CONTROLLER] == dumps[Mode.SINGLE_CONTROLLER]
+
+    @both_modes
+    def test_many_processes_share_the_snapshot_and_destination_maps(self, mode):
+        """Eight process threads on fewer cores, switching often, each add
+        their own entry to the save's snapshot map and the load's
+        destination map; a lost entry fails the write or the load."""
+        mesh = simple_mesh(8, 8)
+        tree = {"w": DenseArray("f32", np.arange(64, dtype=np.float32).reshape(16, 4))}
+        shardings = {"model": {"w": sharded(mesh, (16, 4), "data")}}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(5):
+                backend = MemoryBackend()
+                rt = make_runtime(backend, 8, mode=mode)
+                save_checkpoint(rt, f"c/s{i}", {"model": tree}, shardings).wait()
+                out = load_checkpoint(rt, f"c/s{i}", current_mesh=mesh)
+                assert tree_equal(out["model"], tree)
+        finally:
+            sys.setswitchinterval(interval)

@@ -30,7 +30,7 @@ class TestMesh:
         mesh = Mesh.create([("a", 4), ("b", 2)], process_count=4)
         assert mesh.device_count == 8
         assert mesh.process_count == 4
-        assert mesh.devices_of_process(0) == [0, 1]
+        assert [d for d in mesh.devices if mesh.process_of(d) == 0] == [0, 1]
         assert mesh.coords(5) == (2, 1)
 
     @pytest.mark.parametrize(

@@ -58,10 +58,10 @@ class CounterSnapshot:
             {k: v for k, v in ops.items() if v},
         )
 
-    def record(self, kind: str, key: str, read: int, written: int) -> None:
+    def record(self, kind: str, payload: bool, read: int, written: int) -> None:
         self.bytes_read += read
         self.bytes_written += written
-        if is_payload_key(key):
+        if payload:
             self.payload_bytes_read += read
             self.payload_bytes_written += written
         self.ops[kind] = self.ops.get(kind, 0) + 1
@@ -156,7 +156,8 @@ class StorageBackend(abc.ABC):
     def _execute(
         self, identity: str, kind: str, key: str, fn: Callable[[], tuple[int, int]]
     ):
-        if kind == "put" and is_payload_key(key):
+        payload = is_payload_key(key)
+        if kind == "put" and payload:
             with self._gate:
                 while self._gate_closed and not self._crashed:
                     self._gate.wait(0.02)
@@ -190,9 +191,9 @@ class StorageBackend(abc.ABC):
                     f"injected delete failure for key {key!r}"
                 )
             result, read, written = fn()
-            self._totals.record(kind, key, read, written)
+            self._totals.record(kind, payload, read, written)
             self._by_identity.setdefault(identity, CounterSnapshot()).record(
-                kind, key, read, written
+                kind, payload, read, written
             )
             self._ops_executed += 1
             return result

@@ -328,10 +328,11 @@ class ProcessArrayWriter:
     """Writes one process's array chunks under its own key prefix.
 
     All arrays of one save share the writer so the aggregated layout can
-    coalesce chunks across arrays into few data files. Chunks are byte
-    views of the shard buffers, joined once per data file, so those buffers
-    must stay unchanged until ``finish``. ``finish`` emits the per-process
-    metadata document (and manifest for the aggregated layout).
+    coalesce chunks across arrays into few data files. Each chunk is copied
+    once, into the bytes ``finish`` puts: by ``tobytes`` per leaf, by one
+    join per aggregated data file when ``seal`` closes it, so the caller's
+    buffers must stay unchanged until ``seal``. (An aggregated chunk that
+    is not contiguous in its buffer is gathered before the join.)
     """
 
     def __init__(
@@ -351,9 +352,9 @@ class ProcessArrayWriter:
         self._shardings: dict[str, Optional[dict]] = {}
         self._chunks: dict[str, set[str]] = {}
         self._manifest_entries: dict[str, tuple[int, int, int]] = {}
-        self._parts: list[memoryview] = []  # the open data file
+        self._staged: list[tuple[str, bytes]] = []  # (key, payload) to put
+        self._parts: list[np.ndarray] = []  # the open data file's chunk views
         self._size = 0
-        self._file_id = 0
         self._finished = False
 
     def declare_array(
@@ -379,7 +380,7 @@ class ProcessArrayWriter:
         meta: ArrayStorageMetadata,
         sharding_descriptor: dict | None = None,
     ) -> list[str]:
-        """Store shard data as whole write chunks; returns the written keys.
+        """Stage shard data as whole write chunks; returns their keys.
 
         Every shard's ranges must align to the write-chunk grid and carry
         exactly the bytes for its ranges.
@@ -407,16 +408,19 @@ class ProcessArrayWriter:
                     f"shard buffer shape {values.shape} does not match "
                     f"ranges {ranges} for {leaf_path!r}"
                 )
+            if values.shape == meta.write_chunk and values.size:  # one write chunk
+                coords = tuple(off // e for off, e in ranges)
+                written.append(self._stage_chunk(leaf_path, coords, values))
+                continue
             for coords in _covering(ranges, meta.write_chunk):
                 sel = tuple(
                     slice(c * w - off, (c + 1) * w - off)
                     for c, w, (off, _) in zip(coords, meta.write_chunk, ranges)
                 )
-                payload = memoryview(np.ascontiguousarray(values[sel])).cast("B")
-                written.append(self._put_chunk(leaf_path, coords, payload))
+                written.append(self._stage_chunk(leaf_path, coords, values[sel]))
         return written
 
-    def _put_chunk(self, leaf_path: str, coords: tuple[int, ...], payload: memoryview) -> str:
+    def _stage_chunk(self, leaf_path: str, coords: tuple[int, ...], chunk: np.ndarray) -> str:
         ck = coords_key(coords)
         seen = self._chunks[leaf_path]
         if ck in seen:
@@ -426,31 +430,32 @@ class ProcessArrayWriter:
         seen.add(ck)
         rel_key = chunk_object_key(leaf_path, ck)
         if self._layout == PER_LEAF:
-            full = f"{self._prefix}/{rel_key}"
-            self._store.put(full, payload)
-            return full
-        if self._parts and self._size + len(payload) > self._target:
-            self._flush_file()
-        self._manifest_entries[rel_key] = (self._file_id, self._size, len(payload))
-        self._parts.append(payload)
-        self._size += len(payload)
-        return f"{self._prefix}/{DATA_DIR}/{self._file_id}"
+            self._staged.append((f"{self._prefix}/{rel_key}", chunk.tobytes()))
+            return self._staged[-1][0]
+        if self._parts and self._size + chunk.nbytes > self._target:
+            self.seal()
+        file_id = len(self._staged)  # only data files are staged here
+        self._manifest_entries[rel_key] = (file_id, self._size, chunk.nbytes)
+        self._parts.append(np.ascontiguousarray(chunk))
+        self._size += chunk.nbytes
+        return f"{self._prefix}/{DATA_DIR}/{file_id}"
 
-    def _flush_file(self) -> None:
-        self._store.put(
-            f"{self._prefix}/{DATA_DIR}/{self._file_id}", b"".join(self._parts)
-        )
-        self._parts, self._size = [], 0
-        self._file_id += 1
+    def seal(self) -> None:
+        """Close the open data file: join its chunk views into its bytes."""
+        if self._parts:
+            key = f"{self._prefix}/{DATA_DIR}/{len(self._staged)}"
+            self._staged.append((key, b"".join(self._parts)))
+            self._parts, self._size = [], 0
 
     def finish(self) -> dict:
-        """Write the per-process metadata document; returns its contents."""
+        """Put the staged chunks, then the metadata; returns the document."""
         if self._finished:
             raise ChunkStoreError("writer already finished")
         self._finished = True
+        self.seal()
+        for key, payload in self._staged:
+            self._store.put(key, payload)
         if self._layout == AGGREGATED:
-            if self._parts:
-                self._flush_file()
             manifest = AggregatedManifest(self._manifest_entries, self._target)
             self._store.put(
                 f"{self._prefix}/{MANIFEST_FILE}",

@@ -376,8 +376,8 @@ class ControllerContext:
         return _leader_payload(payload)
 
     def each(self, step: Callable[[ProcessContext], Any]) -> list[Any]:
-        """Run a per-process step on every worker; results in worker order."""
-        return self.runtime.run_on_workers(step)
+        """Run a per-process step on every worker, as one collective."""
+        return self.runtime.run_collective(step)
 
     def run_on_workers(
         self,

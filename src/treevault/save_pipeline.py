@@ -4,11 +4,11 @@ A save runs in two phases, each one program of the runtime (on every
 process, or once on a single controller). The synchronous phase validates
 inputs (names, tree structure, sharding divisibility, and a
 checked-before-created existence test on the target path) and has each
-process deep-copy exactly the byte ranges it will write. The asynchronous
-phase, one background task, then writes chunk data under a temporary
-location, merges per-process metadata, and commits atomically: a
-directory rename when the backend supports it, otherwise a COMMIT
-indicator file written last. Until the commit lands, the checkpoint does
+process copy the byte ranges it will write, once, into the chunk payloads
+it will put. The asynchronous phase, one background task, then puts them
+under a temporary location, merges per-process metadata, and commits
+atomically: a directory rename when the backend supports it, otherwise a
+COMMIT indicator file written last. Until the commit lands, the checkpoint does
 not exist as far as readers are concerned. A failure anywhere in it
 aborts the other processes; the leader removes the temporary data once
 they all stopped.
@@ -30,8 +30,6 @@ import uuid
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
-
-import numpy as np
 
 from . import chunkstore, docio, treemodel
 from .backend import Store
@@ -204,14 +202,12 @@ class _TreeEntry:
 # Per array leaf: the leaf, its storage metadata, its sharding descriptor
 # and its sharding.
 _LeafPlan = tuple[DenseArray, ArrayStorageMetadata, Optional[dict], Optional[Sharding]]
-# Per array leaf: the boxes one process writes, with their copied bytes.
-_Snapshot = dict[str, list[tuple[tuple[Range, ...], np.ndarray]]]
 
 
 class SaveSession:
     """State machine of one in-flight save in one run of the save program
-    (on a process, or on the controller): its validated plan, and the
-    leader's storage actions."""
+    (on a process, or on the controller): its validated plan, the snapshot
+    of each process it runs for, and the leader's storage actions."""
 
     def __init__(
         self, store: Store, process_count: int, path: str, options: SaveOptions
@@ -232,6 +228,7 @@ class SaveSession:
         self._descriptors: list[tuple[str, str]] = []
         self._inline: dict[str, dict[str, dict]] = {}
         self._leaf_meta: dict[str, _LeafPlan] = {}
+        self._snapshots: dict[int, ProcessArrayWriter] = {}  # by process index
 
     def _advance(self, phase: str) -> None:
         if PHASES.index(phase) < PHASES.index(self.phase):
@@ -311,18 +308,26 @@ class SaveSession:
                 f"finalized checkpoint already present at {self.path!r}"
             )
 
-    def take_snapshot(self, process_index: int) -> _Snapshot:
-        """Deep-copy exactly the byte ranges one process will write."""
-        snapshot: _Snapshot = {}
-        for scoped, (leaf, _, _, sharding) in self._leaf_meta.items():
-            pieces = []
-            for ranges in write_ranges_for_process(
-                sharding, leaf.shape, process_index, self.options.replica_parallel
-            ):
-                sel = tuple(slice(o, o + e) for o, e in ranges)
-                pieces.append((ranges, leaf.data[sel].copy()))
-            snapshot[scoped] = pieces
-        return snapshot
+    def take_snapshot(self, worker: ProcessContext) -> None:
+        """Copy the byte ranges one process writes into its writer's payloads;
+        no view of the caller's leaves outlives this call."""
+        writer = ProcessArrayWriter(
+            worker.store,
+            process_dir(self.tmp_path, worker.index),
+            self.options.layout,
+            self.options.target_file_bytes,
+        )
+        for scoped in sorted(self._leaf_meta):
+            leaf, meta, descriptor, sharding = self._leaf_meta[scoped]
+            ranges = write_ranges_for_process(
+                sharding, leaf.shape, worker.index, self.options.replica_parallel
+            )
+            views = [
+                (r, leaf.data[tuple(slice(o, o + e) for o, e in r)]) for r in ranges
+            ]
+            writer.write_array(scoped, views, meta, descriptor)
+        writer.seal()
+        self._snapshots[worker.index] = writer
 
     # -- asynchronous phase ---------------------------------------------------
 
@@ -365,18 +370,9 @@ class SaveSession:
             )
         self.leader_actions["global_metadata"] += 1
 
-    def write_phase(self, worker: ProcessContext, snapshot: _Snapshot) -> dict:
-        """Write one process's snapshot chunks and per-process metadata."""
-        writer = ProcessArrayWriter(
-            worker.store,
-            process_dir(self.tmp_path, worker.index),
-            self.options.layout,
-            self.options.target_file_bytes,
-        )
-        for scoped in sorted(self._leaf_meta):
-            _, meta, descriptor, _ = self._leaf_meta[scoped]
-            writer.write_array(scoped, snapshot[scoped], meta, descriptor)
-        return writer.finish()
+    def write_phase(self, worker: ProcessContext) -> dict:
+        """Put one process's snapshot payloads and per-process metadata."""
+        return self._snapshots.pop(worker.index).finish()
 
     def finalize_phase(self) -> None:
         """Leader-only: merge per-process indices and commit atomically."""
@@ -450,7 +446,6 @@ def save_checkpoint(
         raise SaveError(f"unknown layout {options.layout!r}")
     path = path.rstrip("/")
     op = f"save:{path}"
-    snapshots: dict[int, _Snapshot] = {}  # per process: the bytes it writes
 
     def synchronous(ctx) -> SaveSession:
         session = SaveSession(ctx.store, runtime.process_count, path, options)
@@ -465,10 +460,7 @@ def save_checkpoint(
             session.tmp_path = ctx.leader_broadcast(f"{op}/nonce", payload).decode()
         # Device-to-host copies run on the processes that own the devices;
         # a controller never holds bulk bytes.
-        def snapshot(worker: ProcessContext) -> None:
-            snapshots[worker.index] = session.take_snapshot(worker.index)
-
-        ctx.each(snapshot)
+        ctx.each(session.take_snapshot)
         session._advance("snapshotted")
         return session
 
@@ -482,7 +474,7 @@ def save_checkpoint(
                 session.write_global_metadata()
             ctx.barrier(f"{op}/created")
             session._advance("writing")
-            ctx.each(lambda w: session.write_phase(w, snapshots[w.index]))
+            ctx.each(session.write_phase)
             ctx.barrier(f"{op}/written")
             if ctx.is_leader:
                 session.finalize_phase()
@@ -490,6 +482,7 @@ def save_checkpoint(
             session._advance("finalized")
         except BaseException:
             session.phase = "failed"
+            session._snapshots.clear()  # unwritten; the handle keeps the session
             raise
 
     def finish() -> None:

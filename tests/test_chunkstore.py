@@ -634,6 +634,7 @@ class TestCounters:
             writer.write_array(
                 "w", [(full_ranges((4,)), np.zeros(4, np.float32))], meta
             )
+            writer.finish()
             done.set()
 
         t = threading.Thread(target=write)

@@ -286,6 +286,17 @@ class TestLoad:
         ):
             load_checkpoint(rt, "c/s0", current_mesh=mesh)
 
+    def test_corrupt_chunk_surfaces_unwrapped_on_a_controller(self, backend):
+        _, mesh, *_ = saved_checkpoint(backend)
+        key = "c/s0/process_1/model/layers/0/w/c.2.0"
+        backend.store().put(key, backend.dump()[key][:-4])
+        rt = make_runtime(backend, 2, mode=Mode.SINGLE_CONTROLLER)
+        with pytest.raises(
+            CorruptionError,
+            match=r"^model/layers/0/w chunk 2\.0: 60 bytes, expected 64$",
+        ):
+            load_checkpoint(rt, "c/s0", current_mesh=mesh)
+
     def test_async_load_handle(self, backend):
         rt, mesh, tree, _ = saved_checkpoint(backend)
         handle = load_checkpoint_async(rt, "c/s0", current_mesh=mesh)

@@ -8,11 +8,18 @@ exact, monotonic byte/op counters, attributable to a caller identity via
 Chunk payload keys (which :func:`chunkstore.is_payload_key` recognises)
 are counted separately from metadata keys so tests can reason about data
 traffic with metadata excluded.
+
+``Store.list_keys(prefix, shallow=True)`` (S3's ``Delimiter="/"``) is one
+``list`` op returning ``prefix + name``, sorted, per immediate child of
+``prefix``. On ``fs:`` it is one directory scan, so it can name an empty
+directory (a crash between ``mkdir`` and the first put): callers treat a
+child without a commit marker as unfinalized.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
 import os
 import threading
 import time
@@ -216,6 +223,9 @@ class StorageBackend(abc.ABC):
     def _list(self, prefix: str) -> list[str]: ...
 
     @abc.abstractmethod
+    def _children(self, prefix: str) -> list[str]: ...
+
+    @abc.abstractmethod
     def _delete(self, key: str) -> None: ...
 
     @abc.abstractmethod
@@ -275,8 +285,9 @@ class Store:
 
         return self._run("get_range", key, fn)
 
-    def list_keys(self, prefix: str) -> list[str]:
-        return self._run("list", prefix, lambda: (self.backend._list(prefix), 0, 0))
+    def list_keys(self, prefix: str, shallow: bool = False) -> list[str]:
+        list_fn = self.backend._children if shallow else self.backend._list
+        return self._run("list", prefix, lambda: (list_fn(prefix), 0, 0))
 
     def delete(self, key: str) -> None:
         self._run("delete", key, lambda: (self.backend._delete(key), 0, 0))
@@ -320,6 +331,11 @@ class MemoryBackend(StorageBackend):
 
     def _list(self, prefix: str) -> list[str]:
         return sorted(k for k in self._data if k.startswith(prefix))
+
+    def _children(self, prefix: str) -> list[str]:
+        n = len(prefix)
+        keys = (k for k in self._data if k.startswith(prefix))
+        return sorted({prefix + k[n:].split("/", 1)[0] for k in keys})
 
     def _delete(self, key: str) -> None:
         if key not in self._data:
@@ -378,7 +394,7 @@ class FilesystemBackend(StorageBackend):
         path = self._path(key)
         try:
             size = path.stat().st_size
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             raise MissingKeyError(f"no such key {key!r}") from None
         _check_range(key, offset, length, size)
         with open(path, "rb") as f:
@@ -398,6 +414,15 @@ class FilesystemBackend(StorageBackend):
                     out.append(key)
         return sorted(out)
 
+    def _children(self, prefix: str) -> list[str]:
+        head = prefix.rpartition("/")[0]
+        try:
+            names = os.listdir(self._path(head))
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        keys = (f"{head}/{n}" if head else n for n in names if not n.endswith(".partial"))
+        return sorted(k for k in keys if k.startswith(prefix))
+
     def _delete(self, key: str) -> None:
         path = self._path(key)
         try:
@@ -405,9 +430,10 @@ class FilesystemBackend(StorageBackend):
         except FileNotFoundError:
             raise MissingKeyError(f"no such key {key!r}") from None
         parent = path.parent
-        while parent != self.root and not any(parent.iterdir()):
-            parent.rmdir()
-            parent = parent.parent
+        with contextlib.suppress(OSError):  # rmdir fails at the first non-empty parent
+            while parent != self.root:
+                parent.rmdir()
+                parent = parent.parent
 
     def _rename(self, src_prefix: str, dst_prefix: str) -> None:
         src = self._path(src_prefix.rstrip("/"))

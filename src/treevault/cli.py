@@ -59,7 +59,7 @@ def _parse_partitions(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.split(",") if x)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad partition list {text!r}")
+        parts = ()
     if not parts or any(p < 1 for p in parts):
         raise argparse.ArgumentTypeError(f"bad partition list {text!r}")
     return parts
@@ -161,12 +161,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _process_count_of(store: Store, path: str) -> int:
-    indices = set()
-    for key in store.list_keys(f"{path}/"):
-        m = chunkstore.PROCESS_DIR_RE.match(key[len(path) + 1 :].split("/", 1)[0])
-        if m:
-            indices.add(int(m.group(1)))
-    return max(indices) + 1 if indices else 0
+    children = store.list_keys(f"{path}/", shallow=True)
+    found = [chunkstore.PROCESS_DIR_RE.match(k[len(path) + 1 :]) for k in children]
+    return max((int(m.group(1)) + 1 for m in found if m), default=0)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -308,13 +305,12 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         )
         meta = checkpoint_metadata(src_store, src_path)
         abstracts = _reshard_abstracts(meta, mesh, args.partitions, select)
-        loaded = load_checkpoint(
+        trees = load_checkpoint(
             src_runtime,
             src_path,
             {name: tree for name, (tree, _) in abstracts.items()},
             load_options,
         )
-        trees = loaded
         shardings = {name: sh for name, (_, sh) in abstracts.items()}
 
     dst_store, dst_path = _resolve_target(args.backend, args.dst)
@@ -390,11 +386,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     runtime = SimulatedRuntime(
         args.processes,
         backend,
-        mode=(
-            Mode.SINGLE_CONTROLLER
-            if args.mode == "single"
-            else Mode.MULTI_CONTROLLER
-        ),
+        mode=Mode(f"{args.mode}_controller"),
         barrier_timeout=args.barrier_timeout,
     )
     rng = np.random.default_rng(args.seed)
@@ -494,7 +486,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gc(args: argparse.Namespace) -> int:
     store, root = _resolve_target(args.backend, args.root)
-    if not store.list_keys(f"{root}/"):
+    if not store.list_keys(f"{root}/", shallow=True):
         print(f"error: no checkpoint root at {args.root!r}", file=sys.stderr)
         return USAGE_ERROR
     runtime = SimulatedRuntime(1, store.backend)

@@ -6,15 +6,17 @@ order), tracks which steps are finalized, enforces monotonic step saves,
 and applies a keep-last / keep-period retention policy after each
 finalized save. Only finalized steps are ever load candidates.
 
-Step discovery lists storage on the leader only and broadcasts the result,
-keeping follower traffic at zero.
+Step discovery runs on the leader only and broadcasts the result, keeping
+follower traffic at zero. It costs one shallow listing of the root (its
+child names, not every key) plus one commit-marker check per step
+directory: 1 ``list`` and S zero-byte ``get_range`` ops for S steps.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from . import docio
@@ -25,8 +27,8 @@ from .load_pipeline import LoadOptions, load_checkpoint
 from .save_pipeline import (
     CheckpointSaveHandle,
     SaveOptions,
-    commit_marker,
     delete_checkpoint,
+    is_finalized,
     save_checkpoint,
 )
 from .sharding import Mesh, Sharding
@@ -65,53 +67,38 @@ class RetentionPolicy:
 
     def retained(self, finalized_steps: list[int]) -> set[int]:
         steps = sorted(finalized_steps)
-        keep = set(steps[-self.keep_last :])
-        if steps:
-            keep.add(steps[-1])  # the latest finalized step always survives
+        keep = set(steps[-self.keep_last :])  # keep_last >= 1 keeps the latest
         if self.keep_period is not None:
             keep.update(s for s in steps if s % self.keep_period == 0)
         return keep
 
 
+@dataclass
 class StepCatalog:
     """Known steps under one root, with their finality."""
 
-    def __init__(self, root: str):
-        self.root = root.rstrip("/")
-        self.steps: dict[int, bool] = {}
+    steps: dict[int, bool] = field(default_factory=dict)
 
     def finalized_steps(self) -> list[int]:
         return sorted(s for s, done in self.steps.items() if done)
 
     def latest_finalized(self) -> int | None:
-        done = self.finalized_steps()
-        return done[-1] if done else None
+        return max((s for s, done in self.steps.items() if done), default=None)
 
-    def rebuild_from_listing(
-        self, keys: list[str], finality_marker: str
-    ) -> dict[str, list[str]]:
-        """Take the steps from one listing under the root; returns the
-        listed keys grouped by top-level directory."""
-        by_dir: dict[str, list[str]] = {}
-        for key in keys:
-            top = key[len(self.root) + 1 :].split("/", 1)[0]
-            by_dir.setdefault(top, []).append(key)
-        self.steps.clear()
-        for top, dir_keys in by_dir.items():
-            m = _STEP_DIR_RE.match(top)
-            if m:
-                marker = f"{self.root}/{top}/{finality_marker}"
-                self.steps[int(m.group(1))] = marker in dir_keys
-        return by_dir
+
+def _root_children(store: Store, root: str) -> tuple[list[str], dict[int, bool]]:
+    """The root's child names (one shallow listing), and each step's finality."""
+    names = [k[len(root) + 1 :] for k in store.list_keys(f"{root}/", shallow=True)]
+    steps = {
+        int(m.group(1)): is_finalized(store, f"{root}/{name}")
+        for name in names
+        if (m := _STEP_DIR_RE.match(name))
+    }
+    return names, steps
 
 
 def scan_steps(store: Store, root: str) -> dict[int, bool]:
-    """One listing; finality derived from the same listing's marker keys."""
-    catalog = StepCatalog(root)
-    catalog.rebuild_from_listing(
-        store.list_keys(f"{catalog.root}/"), commit_marker(store)
-    )
-    return dict(catalog.steps)
+    return _root_children(store, root.rstrip("/"))[1]
 
 
 def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
@@ -120,9 +107,7 @@ def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
     The listing runs on the leader (or the controller) only and the result
     is broadcast; followers touch no storage.
     """
-    catalog = StepCatalog(root)
-    catalog.steps = _collective_scan(runtime, root)
-    return catalog.latest_finalized()
+    return StepCatalog(_collective_scan(runtime, root)).latest_finalized()
 
 
 def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
@@ -131,12 +116,8 @@ def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
     def program(ctx) -> dict[int, bool]:
         payload = None
         if ctx.is_leader:
-            steps = scan_steps(ctx.store, root)
-            payload = docio.dumps_canonical(
-                {str(s): ok for s, ok in steps.items()}
-            )
-        raw = ctx.leader_broadcast(token, payload)
-        return {int(s): ok for s, ok in docio.loads(raw).items()}
+            payload = docio.dumps_canonical(sorted(scan_steps(ctx.store, root).items()))
+        return dict(docio.loads(ctx.leader_broadcast(token, payload)))
 
     return runtime.run_program(program)[0]
 
@@ -160,7 +141,7 @@ class Checkpointer:
         self.policy = policy or RetentionPolicy()
         self.options = options or SaveOptions()
         self._store = runtime.backend.store("driver")
-        self._catalog = StepCatalog(self.root)
+        self._catalog = StepCatalog()
         self._pending: tuple[int, CheckpointSaveHandle] | None = None
         self.refresh()
 
@@ -271,18 +252,19 @@ class Checkpointer:
 
         Covers ``.tmp.<nonce>`` directories and unfinalized step residue
         older than ``max_age_seconds``; never runs automatically, to avoid
-        racing an in-flight save.
+        racing an in-flight save. If a shallow listing finds dead
+        directories, one full listing supplies their keys and ages.
         """
-        catalog = StepCatalog(self.root)
-        by_dir = catalog.rebuild_from_listing(
-            self._store.list_keys(f"{self.root}/"), commit_marker(self._store)
-        )
-        dead = {step_dir_name(s) for s, done in catalog.steps.items() if not done}
-        dead.update(d for d in by_dir if _TMP_DIR_RE.match(d))
+        names, steps = _root_children(self._store, self.root)
+        dead = {step_dir_name(s) for s, done in steps.items() if not done}
+        dead.update(d for d in names if _TMP_DIR_RE.match(d))
+        by_dir: dict[str, list[str]] = {}
+        for key in self._store.list_keys(f"{self.root}/") if dead else ():
+            by_dir.setdefault(key[len(self.root) + 1 :].split("/", 1)[0], []).append(key)
         swept = []
         now = time.time()
         for d in sorted(dead):
-            newest = self._store.backend.newest_mtime(by_dir[d])
+            newest = self._store.backend.newest_mtime(by_dir.get(d, ()))
             if newest is not None and now - newest >= max_age_seconds:
                 prefix = f"{self.root}/{d}"
                 delete_checkpoint(self._store, prefix, by_dir[d])

@@ -723,3 +723,76 @@ class TestFilesystemListing:
     def test_dot_dot_prefix_raises(self, fs, prefix):
         with pytest.raises(BackendError):
             fs.store().list_keys(prefix)
+
+
+class TestShallowListing:
+    """``list_keys(prefix, shallow=True)`` names each immediate child of the
+    prefix once: the first path component after it of every deeper key."""
+
+    KEYS = TestFilesystemListing.KEYS + ("run/step_00000010/process_1/d/0",)
+    PREFIXES = (
+        "", "run/", "run/step_0000001", "run/step_00000001/", "to",
+        "run/step_00000001/process_0/w/c.0", "missing/", "run/missing",
+    )
+
+    @staticmethod
+    def children_of(keys, prefix):
+        return sorted({prefix + k[len(prefix):].split("/", 1)[0]
+                       for k in keys if k.startswith(prefix)})
+
+    @pytest.fixture(params=["mem", "fs"])
+    def filled(self, request, tmp_path):
+        backend = MemoryBackend() if request.param == "mem" else FilesystemBackend(tmp_path / "r")
+        for key in self.KEYS:
+            backend.store().put(key, b"x")
+        return backend
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    def test_children_of_the_full_listing(self, filled, prefix):
+        store = filled.store()
+        before = filled.counters()
+        assert store.list_keys(prefix, shallow=True) == self.children_of(self.KEYS, prefix)
+        assert filled.counters().minus(before).ops == {"list": 1}
+
+    def test_fs_is_one_directory_scan(self, tmp_path, monkeypatch):
+        fs = FilesystemBackend(tmp_path / "r")
+        for key in self.KEYS:
+            fs.store().put(key, b"x")
+        monkeypatch.setattr(os, "walk", None)  # a full walk would fail
+        assert fs.store().list_keys("run/", shallow=True) == [
+            "run/step_00000001", "run/step_00000001x", "run/step_00000010",
+        ]
+
+    def test_fs_skips_partial_files_and_names_empty_directories(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("run/a", b"x")
+        (fs.root / "run" / "b.partial").write_bytes(b"torn")
+        (fs.root / "run" / "empty").mkdir()
+        assert fs.store().list_keys("run/", shallow=True) == ["run/a", "run/empty"]
+        assert fs.store().list_keys("run/") == ["run/a"]
+        assert fs.store().list_keys("run/a/", shallow=True) == []
+
+
+class TestFilesystemDelete:
+    def test_last_key_prunes_empty_directories_up_to_the_root(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("a/b/c/k", b"x")
+        fs.store().delete("a/b/c/k")
+        assert fs.root.is_dir()
+        assert list(fs.root.iterdir()) == []
+
+    def test_sibling_keeps_its_parent(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("a/b/k1", b"x")
+        fs.store().put("a/b/k2", b"x")
+        fs.store().delete("a/b/k1")
+        assert sorted(p.name for p in (fs.root / "a" / "b").iterdir()) == ["k2"]
+        fs.store().delete("a/b/k2")
+        assert list(fs.root.iterdir()) == []
+
+    def test_missing_key_raises(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("a/k", b"x")
+        with pytest.raises(MissingKeyError):
+            fs.store().delete("a/gone")
+        assert fs.store().list_keys("") == ["a/k"]

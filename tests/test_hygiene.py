@@ -140,3 +140,46 @@ def test_tracer_targets_are_bound_on_their_owners():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def store_op_kinds(source: str) -> set[str]:
+    """The op kinds a module passes to ``Store._run``; a kind that is not a
+    string constant is reported as ``<dynamic>``."""
+    kinds = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_run"
+        ):
+            first = node.args[0] if node.args else None
+            constant = isinstance(first, ast.Constant) and isinstance(first.value, str)
+            kinds.add(first.value if constant else "<dynamic>")
+    return kinds
+
+
+def test_every_store_op_kind_has_a_tracer_target():
+    """perfbench's traced runs reconcile each counter op kind against the
+    spans of a wrapped ``Store`` method named ``backend.<kind>``; an op kind
+    without one makes every traced run fail its reconciliation."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = {name for _, _, name, _ in tracer.wrap_targets()}
+    kinds = store_op_kinds((PACKAGE / "backend.py").read_text(encoding="utf-8"))
+    assert {"put", "get", "list"} <= kinds  # the scan sees the real calls
+    assert sorted(k for k in kinds if f"backend.{k}" not in spans) == []
+
+
+def test_op_kind_checker_reads_constants_and_flags_the_rest():
+    source = (
+        "class Store:\n"
+        "    def put(self, key):\n"
+        "        self._run('put', key, None)\n"
+        "    def stat(self, key, kind):\n"
+        "        self._run(kind, key, None)\n"
+        "        return self.other('list')\n"
+    )
+    assert store_op_kinds(source) == {"put", "<dynamic>"}

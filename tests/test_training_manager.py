@@ -1,3 +1,6 @@
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from treevault import (
     Checkpointer,
     DenseArray,
     MemoryBackend,
+    Mode,
     RetentionPolicy,
     SaveOptions,
     latest_step,
@@ -14,12 +18,13 @@ from treevault import (
     should_save,
     tree_equal,
 )
-from treevault.backend import FaultPlan
+from treevault.backend import FaultPlan, FilesystemBackend, Store, make_backend
 from treevault.errors import (
     GarbageCollectionError,
     SimulatedCrashError,
     StepError,
 )
+from treevault.save_pipeline import commit_marker
 from treevault.training_manager import scan_steps, step_dir_name
 from treevault.treemodel import as_tree
 
@@ -28,6 +33,28 @@ def tree_for(step):
     return as_tree(
         {"w": DenseArray("f32", np.full((4, 2), step, np.float32)), "step": step}
     )
+
+
+def fill_steps(store, steps, keys_per_step, root="root"):
+    """Finalized step directories of ``keys_per_step`` keys, marker included."""
+    for step in steps:
+        d = f"{root}/{step_dir_name(step)}"
+        for i in range(keys_per_step - 1):
+            store.put(f"{d}/process_{i % 4}/w/c.{i}", b"x")
+        store.put(f"{d}/{commit_marker(store)}", b"m")
+
+
+def spy_listings(monkeypatch):
+    """Record the result of every ``Store.list_keys`` call."""
+    listings = []
+    real = Store.list_keys
+
+    def list_keys(self, prefix, shallow=False):
+        listings.append(real(self, prefix, shallow))
+        return listings[-1]
+
+    monkeypatch.setattr(Store, "list_keys", list_keys)
+    return listings
 
 
 class TestShouldSave:
@@ -110,18 +137,18 @@ class TestLatestStep:
         backend.store().put(f"root/{step_dir_name(10)}/process_0/x", b"junk")
         assert latest_step(rt, "root") == 5
 
-    def test_listing_on_leader_only(self, backend):
+    def test_listing_on_leader_only(self, backend, monkeypatch):
+        """20 steps of 70 keys: the leader lists the root's children once and
+        checks each step's commit marker once; followers touch no storage."""
         rt = make_runtime(backend, 8)
-        backend.store().put("root/step_00000000/COMMIT", b"COMMIT\n")
-        before = {
-            i: backend.counters(f"process_{i}").op_count("list") for i in range(8)
-        }
-        assert latest_step(rt, "root") == 0
-        after = {
-            i: backend.counters(f"process_{i}").op_count("list") for i in range(8)
-        }
-        assert after[0] == before[0] + 1
-        assert all(after[i] == before[i] for i in range(1, 8))
+        fill_steps(backend.store(), range(20), keys_per_step=70)
+        listings = spy_listings(monkeypatch)
+        before = {i: backend.counters(f"process_{i}") for i in range(8)}
+        assert latest_step(rt, "root") == 19
+        delta = {i: backend.counters(f"process_{i}").minus(before[i]) for i in range(8)}
+        assert delta[0].ops == {"list": 1, "get_range": 20}
+        assert all(delta[i].op_count() == 0 for i in range(1, 8))
+        assert len(listings) == 1 and len(listings[0]) <= 21
 
     def test_multiprocess_checkpointer_catalog(self, backend):
         rt = make_runtime(backend, 4)
@@ -298,3 +325,109 @@ class TestRetentionPolicy:
             RetentionPolicy(keep_last=0)
         with pytest.raises(StepError):
             RetentionPolicy(keep_last=1, keep_period=0)
+
+
+_STEP_RE = re.compile(r"step_(\d{8})$")
+_TMP_RE = re.compile(r"step_\d{8}\.tmp\.[0-9a-f]+$")
+
+
+def reference_scan(store, root):
+    """Step finality, and the keys of each top-level name, from one full
+    listing of the root: discovery as it was before shallow listings."""
+    by_dir = {}
+    for key in store.list_keys(f"{root}/"):
+        by_dir.setdefault(key[len(root) + 1 :].split("/", 1)[0], []).append(key)
+    marker = commit_marker(store)
+    steps = {
+        int(m.group(1)): f"{root}/{top}/{marker}" in keys
+        for top, keys in by_dir.items()
+        if (m := _STEP_RE.match(top))
+    }
+    return steps, by_dir
+
+
+def reference_dead(store, root):
+    """The prefixes ``sweep_tmp(0)`` removes, from the full listing."""
+    steps, by_dir = reference_scan(store, root)
+    dead = {step_dir_name(s) for s, done in steps.items() if not done}
+    dead |= {d for d in by_dir if _TMP_RE.match(d)}
+    return sorted(f"{root}/{d}" for d in dead)
+
+
+def random_root(store, rng, root="root"):
+    """Finalized steps, unfinalized residue, ``.tmp.<nonce>`` directories,
+    stray root-level files and non-step directories under ``root``, plus a
+    finalized step under a sibling whose name extends the root's."""
+    marker = commit_marker(store)
+    for step in rng.sample(range(60), rng.randint(0, 12)):
+        d = f"{root}/{step_dir_name(step)}"
+        kind = rng.choice(["finalized", "finalized", "residue", "file"])
+        if kind == "file":
+            store.put(d, b"a file named like a step")
+            continue
+        for i in range(rng.randint(1, 4)):
+            store.put(f"{d}/process_{rng.randrange(3)}/w/c.{i}", b"x")
+        if kind == "finalized":
+            store.put(f"{d}/{marker}", b"m")
+    for _ in range(rng.randint(0, 3)):
+        tmp = f"{root}/{step_dir_name(rng.randrange(60))}.tmp.{rng.getrandbits(48):012x}"
+        store.put(f"{tmp}/process_0/w/c.0", b"x")
+        if rng.random() < 0.5:
+            store.put(f"{tmp}/{marker}", b"m")  # renamed in later; still dead
+    files = ["notes.txt", "step_1", "step_00000001x", marker, "step_00000002.tmp"]
+    for name in rng.sample(files, rng.randint(0, 3)):
+        store.put(f"{root}/{name}", b"stray")
+    dirs = ["logs", "step_2", "step_00000003x", "step_00000004.tmp.zz", "process_0"]
+    for name in rng.sample(dirs, rng.randint(0, 3)):
+        store.put(f"{root}/{name}/a/{marker}", b"x")
+    store.put(f"{root}x/{step_dir_name(1)}/{marker}", b"m")
+
+
+class TestShallowDiscovery:
+    @pytest.mark.parametrize("spec", ["mem", "mem+rename", "fs"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_full_listing(self, spec, seed, tmp_path):
+        backend = make_backend(f"fs:{tmp_path}" if spec == "fs" else spec)
+        store = backend.store()
+        random_root(store, random.Random(seed))
+        steps, _ = reference_scan(store, "root")
+        assert scan_steps(store, "root") == steps
+        assert scan_steps(store, "root/") == steps
+        cp = Checkpointer(make_runtime(backend, 1), "root", RetentionPolicy(keep_last=99))
+        assert cp._catalog.steps == steps
+        before = set(backend.dump())
+        dead = reference_dead(store, "root")
+        assert cp.sweep_tmp(0.0) == dead
+        assert set(backend.dump()) == {
+            k for k in before if not any(k == d or k.startswith(d + "/") for d in dead)
+        }
+        assert scan_steps(store, "root") == {s: True for s, ok in steps.items() if ok}
+
+    def test_fs_discovery_is_one_shallow_listing(self, tmp_path, monkeypatch):
+        backend = FilesystemBackend(tmp_path)
+        fill_steps(backend.store(), range(0, 200, 10), keys_per_step=70)
+        listings = spy_listings(monkeypatch)
+        before = backend.counters()
+        cp = Checkpointer(make_runtime(backend, 4, mode=Mode.SINGLE_CONTROLLER), "root")
+        assert cp.all_steps() == list(range(0, 200, 10))
+        delta = backend.counters().minus(before)
+        assert delta.ops == {"list": 1, "get_range": 20}
+        assert [len(names) for names in listings] == [20]
+
+    def test_sweep_with_nothing_dead_lists_only_children(self, backend, monkeypatch):
+        fill_steps(backend.store(), range(3), keys_per_step=5)
+        cp = Checkpointer(make_runtime(backend, 1), "root", RetentionPolicy(keep_last=9))
+        listings = spy_listings(monkeypatch)
+        assert cp.sweep_tmp(0.0) == []
+        assert listings == [[f"root/{step_dir_name(s)}" for s in range(3)]]
+
+    def test_fs_empty_step_directory_is_unfinalized(self, tmp_path):
+        """A crash between ``mkdir`` and the first put leaves a directory
+        that only the shallow listing sees; it is never a load candidate."""
+        backend = FilesystemBackend(tmp_path)
+        fill_steps(backend.store(), [1], keys_per_step=2)
+        (backend.root / "root" / step_dir_name(2)).mkdir()
+        assert scan_steps(backend.store(), "root") == {1: True, 2: False}
+        cp = Checkpointer(make_runtime(backend, 1), "root")
+        assert cp.latest_step() == 1
+        assert cp.sweep_tmp(0.0) == []  # holds no key to delete

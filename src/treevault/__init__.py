@@ -12,7 +12,6 @@ from .backend import (
 from .chunkstore import (
     AggregatedManifest,
     ArrayStorageMetadata,
-    ChunkGrid,
     ChunkReader,
     ProcessArrayWriter,
     choose_chunk_shape,
@@ -28,7 +27,6 @@ from .load_pipeline import (
     load_checkpoint,
     load_checkpoint_async,
     load_safetensors,
-    load_with_broadcast,
 )
 from .save_pipeline import (
     CheckpointSaveHandle,
@@ -52,7 +50,6 @@ from .sharding import (
 from .training_manager import (
     Checkpointer,
     RetentionPolicy,
-    StepCatalog,
     latest_step,
     should_save,
 )

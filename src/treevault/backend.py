@@ -13,7 +13,9 @@ traffic with metadata excluded.
 ``list`` op returning ``prefix + name``, sorted, per immediate child of
 ``prefix``. On ``fs:`` it is one directory scan, so it can name an empty
 directory (a crash between ``mkdir`` and the first put): callers treat a
-child without a commit marker as unfinalized.
+child without a commit marker as unfinalized. Such a directory is a key of
+its own only to ``delete`` and ``mtime``: deleting it removes it, and
+deleting a directory that still holds keys raises ``BackendError``.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class StorageBackend(abc.ABC):
     def _rename(self, src_prefix: str, dst_prefix: str) -> None: ...
 
     @abc.abstractmethod
-    def _mtime(self, key: str) -> float: ...
+    def _mtime(self, key: str) -> float | None: ...  # None once the key is gone
 
     # -- uninstrumented helpers (tests, inspection) ---------------------------
 
@@ -241,8 +243,9 @@ class StorageBackend(abc.ABC):
             return {k: self._get(k) for k in self._list("")}
 
     def newest_mtime(self, keys: Iterable[str]) -> float | None:
+        """The newest mtime of those ``keys`` that still exist, if any."""
         with self._lock:
-            return max((self._mtime(k) for k in keys), default=None)
+            return max((t for t in map(self._mtime, keys) if t is not None), default=None)
 
 
 class Store:
@@ -354,11 +357,8 @@ class MemoryBackend(StorageBackend):
             self._data[new] = self._data.pop(k)
             self._times[new] = self._times.pop(k)
 
-    def _mtime(self, key: str) -> float:
-        try:
-            return self._times[key]
-        except KeyError:
-            raise MissingKeyError(f"no such key {key!r}") from None
+    def _mtime(self, key: str) -> float | None:
+        return self._times.get(key)
 
 
 class FilesystemBackend(StorageBackend):
@@ -429,6 +429,11 @@ class FilesystemBackend(StorageBackend):
             path.unlink()
         except FileNotFoundError:
             raise MissingKeyError(f"no such key {key!r}") from None
+        except IsADirectoryError:
+            try:
+                path.rmdir()
+            except OSError as e:  # ENOTEMPTY: it still holds keys
+                raise BackendError(f"cannot delete directory {key!r}: {e.strerror}") from None
         parent = path.parent
         with contextlib.suppress(OSError):  # rmdir fails at the first non-empty parent
             while parent != self.root:
@@ -443,11 +448,11 @@ class FilesystemBackend(StorageBackend):
         dst.parent.mkdir(parents=True, exist_ok=True)
         os.replace(src, dst)
 
-    def _mtime(self, key: str) -> float:
+    def _mtime(self, key: str) -> float | None:
         try:
             return self._path(key).stat().st_mtime
         except FileNotFoundError:
-            raise MissingKeyError(f"no such key {key!r}") from None
+            return None
 
 
 def make_backend(spec: str) -> StorageBackend:

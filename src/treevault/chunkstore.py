@@ -68,28 +68,6 @@ def _divides(part: int, whole: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ChunkGrid:
-    """Write-chunk / read-subchunk shapes for one shard grid."""
-
-    shard_shape: tuple[int, ...]
-    write_chunk: tuple[int, ...]
-    read_chunk: tuple[int, ...]
-
-    def __post_init__(self):
-        for s, w, r in zip(self.shard_shape, self.write_chunk, self.read_chunk):
-            if not _divides(w, s):
-                raise ChunkStoreError(
-                    f"write chunk {self.write_chunk} does not subdivide "
-                    f"shard {self.shard_shape}"
-                )
-            if not _divides(r, w):
-                raise ChunkStoreError(
-                    f"read chunk {self.read_chunk} does not subdivide "
-                    f"write chunk {self.write_chunk}"
-                )
-
-
-@dataclass(frozen=True)
 class ArrayStorageMetadata:
     global_shape: tuple[int, ...]
     dtype: str
@@ -106,7 +84,17 @@ class ArrayStorageMetadata:
                 f"shard {self.shard_shape} does not subdivide "
                 f"global {self.global_shape}"
             )
-        ChunkGrid(self.shard_shape, self.write_chunk, self.read_chunk)
+        for s, w, r in zip(self.shard_shape, self.write_chunk, self.read_chunk):
+            if not _divides(w, s):
+                raise ChunkStoreError(
+                    f"write chunk {self.write_chunk} does not subdivide "
+                    f"shard {self.shard_shape}"
+                )
+            if not _divides(r, w):
+                raise ChunkStoreError(
+                    f"read chunk {self.read_chunk} does not subdivide "
+                    f"write chunk {self.write_chunk}"
+                )
         numpy_dtype(self.dtype)
 
     @property

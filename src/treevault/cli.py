@@ -281,7 +281,6 @@ def cmd_reshard(args: argparse.Namespace) -> int:
         layout=args.layout,
         subchunk_target_bytes=args.subchunk_target_bytes,
         replica_parallel=args.replica_parallel,
-        sync=args.sync,
     )
     load_options = LoadOptions(
         mode="partial" if (select or args.partial) else "strict",
@@ -541,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subchunk-target-bytes", type=_parse_subchunk, default=None,
                    metavar="N|off")
     p.add_argument("--replica-parallel", action="store_true")
-    p.add_argument("--sync", action="store_true")
     p.add_argument("--src-layout", choices=("auto", "native", "safetensors"),
                    default="auto")
     p.add_argument("--partial", action="store_true")

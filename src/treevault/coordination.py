@@ -339,9 +339,9 @@ class ProcessContext:
         if self.runtime.jitter > 0:
             time.sleep(self._rng.random() * self.runtime.jitter)
 
-    def barrier(self, name: str, timeout: float | None = None) -> None:
+    def barrier(self, name: str) -> None:
         self.sched_point()
-        self.runtime.barrier(name, self.index, timeout)
+        self.runtime.barrier(name, self.index)
 
     def leader_broadcast(self, name: str, payload: bytes | None = None) -> bytes:
         """Leader sends ``payload``; every process returns identical bytes.
@@ -369,7 +369,7 @@ class ControllerContext:
         self.identity = "controller"
         self.store: Store = runtime.backend.store(self.identity)
 
-    def barrier(self, name: str, timeout: float | None = None) -> None:
+    def barrier(self, name: str) -> None:
         """Nothing to wait for: the controller is the only participant."""
 
     def leader_broadcast(self, name: str, payload: bytes | None = None) -> bytes:
@@ -378,10 +378,3 @@ class ControllerContext:
     def each(self, step: Callable[[ProcessContext], Any]) -> list[Any]:
         """Run a per-process step on every worker, as one collective."""
         return self.runtime.run_collective(step)
-
-    def run_on_workers(
-        self,
-        task: Callable[[ProcessContext], Any],
-        workers: Sequence[int] | None = None,
-    ) -> list[Any]:
-        return self.runtime.run_on_workers(task, workers)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
@@ -96,10 +97,6 @@ class LoadDirective:
     source_meta: ArrayStorageMetadata | None = None
     reads: dict[int, list[tuple[Range, ...]]] = field(default_factory=dict)
 
-    @property
-    def placeholder(self) -> bool:
-        return self.source == "placeholder"
-
 
 @dataclass
 class LoadPlan:
@@ -150,12 +147,7 @@ class CheckpointMetadata:
         return self.doc.get("inline", {}).get(name, {})
 
     def array_entry(self, scoped: str) -> dict:
-        try:
-            return self.merged_index["arrays"][scoped]
-        except KeyError:
-            raise CorruptionError(
-                f"leaf {scoped!r} missing from merged index"
-            ) from None
+        return self.merged_index["arrays"][scoped]  # _validate saw every leaf
 
     def storage_meta(self, scoped: str) -> ArrayStorageMetadata:
         return ArrayStorageMetadata.from_json(self.array_entry(scoped))
@@ -354,11 +346,7 @@ def _read_table(d: LoadDirective, broadcast: bool) -> dict[int, list[tuple[Range
     if sharding is None:
         table[0] = {tuple((0, e) for e in shape): None}
     elif d.target.variant == "array":
-        if tuple(sharding.global_shape) != tuple(d.target.shape or ()):
-            raise ShardingError(
-                f"target sharding shape {sharding.global_shape} does not match "
-                f"leaf shape {d.target.shape}"
-            )
+        sharding.check_shape(d.target.shape or ())
         mesh = sharding.mesh
         allowed = None
         if broadcast:
@@ -473,15 +461,8 @@ def _read_documents(store: Store, path: str, plan: LoadPlan) -> dict[str, Any]:
 def _check_plan_matches_runtime(plan: LoadPlan, runtime: SimulatedRuntime) -> None:
     for dirs in plan.directives.values():
         for d in dirs:
-            sharding = d.target.sharding
-            if sharding is not None and (
-                sharding.mesh.process_count != runtime.process_count
-            ):
-                raise ShardingError(
-                    f"target sharding for {d.scoped_path!r} spans "
-                    f"{sharding.mesh.process_count} processes, runtime has "
-                    f"{runtime.process_count}"
-                )
+            if d.target.sharding is not None:
+                d.target.sharding.check_process_count(runtime.process_count, d.scoped_path)
 
 
 def load_checkpoint(
@@ -499,6 +480,7 @@ def load_checkpoint(
     """
     options = options or LoadOptions()
     path = path.rstrip("/")
+    op = f"load:{path}:{uuid.uuid4().hex}"  # concurrent loads of one path
 
     dests: dict[str, np.ndarray] = {}
 
@@ -510,28 +492,17 @@ def load_checkpoint(
 
         def read(worker: ProcessContext) -> None:
             dests.update(_destinations(arrays[worker.index :: runtime.process_count]))
-            worker.barrier(f"load:{path}/allocated")
+            worker.barrier(f"{op}/allocated")
             _execute_reads(worker.store, worker.index, meta, plan, dests)
 
         ctx.each(read)
         docs = _read_documents(ctx.store, path, plan) if ctx.is_leader else {}
         # No process returns before every shard everywhere was read.
-        ctx.barrier(f"load:{path}/complete")
+        ctx.barrier(f"{op}/complete")
         return plan, docs
 
     plan, docs = runtime.run_program(program)[0]
     return _assemble(plan, dests, docs)
-
-
-def load_with_broadcast(
-    runtime: SimulatedRuntime,
-    path: str,
-    abstracts: Mapping[str, Any],
-    options: LoadOptions | None = None,
-) -> dict[str, Any]:
-    """Load with chunk reads restricted to replica group 0."""
-    options = replace(options or LoadOptions(), broadcast=True)
-    return load_checkpoint(runtime, path, abstracts, options)
 
 
 def load_checkpoint_async(

@@ -47,7 +47,6 @@ from .errors import (
     MissingKeyError,
     PreExistingCheckpointError,
     SaveError,
-    ShardingError,
     SimulatedCrashError,
     TreeError,
 )
@@ -74,8 +73,6 @@ _RESERVED_NAMES = {
     chunkstore.MANIFEST_FILE,
     chunkstore.DATA_DIR,
 }
-
-PHASES = ("validating", "snapshotted", "writing", "merging", "finalized", "failed")
 
 
 @dataclass
@@ -137,11 +134,7 @@ def storage_meta_for(
         shard_shape = leaf.shape
         n_segments = 1
     else:
-        if tuple(sharding.global_shape) != leaf.shape:
-            raise ShardingError(
-                f"sharding global shape {sharding.global_shape} does not "
-                f"match leaf shape {leaf.shape}"
-            )
+        sharding.check_shape(leaf.shape)
         shard_shape = sharding.shard_shape()
         n_segments = (
             sharding.replication_factor() if options.replica_parallel else 1
@@ -193,19 +186,13 @@ def write_ranges_for_process(
     return [s.ranges for s in unique_shards_for_process(sharding, process)]
 
 
-@dataclass
-class _TreeEntry:
-    tree: treemodel.Tree
-    structure: treemodel.TreeStructureDoc
-
-
 # Per array leaf: the leaf, its storage metadata, its sharding descriptor
 # and its sharding.
 _LeafPlan = tuple[DenseArray, ArrayStorageMetadata, Optional[dict], Optional[Sharding]]
 
 
 class SaveSession:
-    """State machine of one in-flight save in one run of the save program
+    """One in-flight save in one run of the save program
     (on a process, or on the controller): its validated plan, the snapshot
     of each process it runs for, and the leader's storage actions."""
 
@@ -220,20 +207,14 @@ class SaveSession:
             "rename" if store.backend.supports_atomic_rename else "indicator"
         )
         self.tmp_path = self.path  # rename style swaps in a sibling later
-        self.phase = "validating"
         self.leader_actions: Counter[str] = Counter()
         self.observed_existing: list[str] = []
-        self._trees: dict[str, _TreeEntry] = {}
+        self._trees: dict[str, treemodel.TreeStructureDoc] = {}
         self._documents: dict[str, Any] = {}
         self._descriptors: list[tuple[str, str]] = []
         self._inline: dict[str, dict[str, dict]] = {}
         self._leaf_meta: dict[str, _LeafPlan] = {}
         self._snapshots: dict[int, ProcessArrayWriter] = {}  # by process index
-
-    def _advance(self, phase: str) -> None:
-        if PHASES.index(phase) < PHASES.index(self.phase):
-            raise SaveError(f"phase {self.phase} cannot go back to {phase}")
-        self.phase = phase
 
     # -- synchronous phase --------------------------------------------------
 
@@ -250,19 +231,20 @@ class SaveSession:
             raise TreeError(f"shardings name unknown checkpointables: {sorted(unknown)}")
         for name in checkpointables:
             check_name(name)
+        trees: dict[str, treemodel.Tree] = {}
         for name, value in sorted(checkpointables.items()):
             kind = treemodel.checkpointable_kind(value)
             self._descriptors.append((name, kind))
             if kind == TREE:
-                tree = treemodel.as_tree(value)
-                self._trees[name] = _TreeEntry(tree, treemodel.tree_metadata(tree))
+                trees[name] = treemodel.as_tree(value)
+                self._trees[name] = treemodel.tree_metadata(trees[name])
                 continue
             doc = value.obj if kind == DOCUMENT else value.save()
             # JSON round trip both validates and snapshots the document.
             self._documents[name] = docio.loads(docio.dumps_canonical(doc))
-        for name, entry in self._trees.items():
+        for name, tree in trees.items():
             per_leaf = dict(shardings.get(name, {}))
-            flat = dict(treemodel.flatten(entry.tree))
+            flat = dict(treemodel.flatten(tree))
             unknown = set(per_leaf) - set(flat)
             if unknown:
                 raise TreeError(
@@ -283,15 +265,9 @@ class SaveSession:
                     inline[path] = treemodel.leaf_to_inline(leaf)
                     continue
                 sharding = per_leaf.get(path)
-                if sharding is not None:
-                    if sharding.mesh.process_count != self.process_count:
-                        raise ShardingError(
-                            f"sharding for {name}/{path} spans "
-                            f"{sharding.mesh.process_count} processes, "
-                            f"runtime has {self.process_count}"
-                        )
-                    sharding.check_divisible()
                 scoped = f"{name}/{path}" if path else name
+                if sharding is not None:  # storage_meta_for checks shape and divisibility
+                    sharding.check_process_count(self.process_count, scoped)
                 meta = storage_meta_for(leaf, sharding, self.options)
                 descriptor = (
                     describe_sharding(sharding) if sharding is not None else None
@@ -337,10 +313,7 @@ class SaveSession:
             "checkpointables": [
                 {"name": n, "handler": h} for n, h in sorted(self._descriptors)
             ],
-            "trees": {
-                name: entry.structure.root
-                for name, entry in self._trees.items()
-            },
+            "trees": {name: doc.root for name, doc in self._trees.items()},
             "inline": self._inline,
             "layout": self.options.layout,
             "commit_style": self.commit_style,
@@ -376,7 +349,6 @@ class SaveSession:
 
     def finalize_phase(self) -> None:
         """Leader-only: merge per-process indices and commit atomically."""
-        self._advance("merging")
         merged = chunkstore.merge_process_indices(
             self.store, self.tmp_path, self.process_count
         )
@@ -389,7 +361,6 @@ class SaveSession:
         else:
             self.store.put(f"{self.path}/{COMMIT_FILE}", b"COMMIT\n")
         self.leader_actions["commit"] += 1
-        self._advance("finalized")
 
     def cleanup_failed(self) -> None:
         if self.options.keep_temp_on_failure:
@@ -416,10 +387,6 @@ class CheckpointSaveHandle:
 
     def done(self) -> bool:
         return self._task.done()
-
-    @property
-    def phases(self) -> list[str]:
-        return [s.phase for s in self.sessions]
 
     def leader_action_counts(self) -> dict[str, int]:
         return dict(sum((s.leader_actions for s in self.sessions), Counter()))
@@ -461,7 +428,6 @@ def save_checkpoint(
         # Device-to-host copies run on the processes that own the devices;
         # a controller never holds bulk bytes.
         ctx.each(session.take_snapshot)
-        session._advance("snapshotted")
         return session
 
     sessions = runtime.run_program(synchronous)
@@ -473,15 +439,12 @@ def save_checkpoint(
                 session.create_location()
                 session.write_global_metadata()
             ctx.barrier(f"{op}/created")
-            session._advance("writing")
             ctx.each(session.write_phase)
             ctx.barrier(f"{op}/written")
             if ctx.is_leader:
                 session.finalize_phase()
             ctx.barrier(f"{op}/finalized")
-            session._advance("finalized")
         except BaseException:
-            session.phase = "failed"
             session._snapshots.clear()  # unwritten; the handle keeps the session
             raise
 

@@ -138,6 +138,22 @@ class Sharding:
             if axis is not None:
                 self.mesh.axis_index(axis)
 
+    def check_process_count(self, process_count: int, leaf: str) -> None:
+        """Error unless the mesh spans the runtime's ``process_count``."""
+        if self.mesh.process_count != process_count:
+            raise ShardingError(
+                f"sharding of {leaf!r} spans {self.mesh.process_count} "
+                f"processes, runtime has {process_count}"
+            )
+
+    def check_shape(self, shape: tuple[int, ...]) -> None:
+        """Error unless the global shape is the leaf's ``shape``."""
+        if self.global_shape != tuple(shape):
+            raise ShardingError(
+                f"sharding global shape {self.global_shape} does not match "
+                f"leaf shape {tuple(shape)}"
+            )
+
     def check_divisible(self) -> None:
         for dim, axis in enumerate(self.spec.entries):
             if axis is None:

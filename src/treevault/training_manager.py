@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from . import docio
@@ -73,17 +73,9 @@ class RetentionPolicy:
         return keep
 
 
-@dataclass
-class StepCatalog:
-    """Known steps under one root, with their finality."""
-
-    steps: dict[int, bool] = field(default_factory=dict)
-
-    def finalized_steps(self) -> list[int]:
-        return sorted(s for s, done in self.steps.items() if done)
-
-    def latest_finalized(self) -> int | None:
-        return max((s for s, done in self.steps.items() if done), default=None)
+def _finalized(steps: dict[int, bool]) -> list[int]:
+    """The finalized ones of the known steps, in order."""
+    return sorted(s for s, done in steps.items() if done)
 
 
 def _root_children(store: Store, root: str) -> tuple[list[str], dict[int, bool]]:
@@ -107,7 +99,7 @@ def latest_step(runtime: SimulatedRuntime, root: str) -> int | None:
     The listing runs on the leader (or the controller) only and the result
     is broadcast; followers touch no storage.
     """
-    return StepCatalog(_collective_scan(runtime, root)).latest_finalized()
+    return max(_finalized(_collective_scan(runtime, root)), default=None)
 
 
 def _collective_scan(runtime: SimulatedRuntime, root: str) -> dict[int, bool]:
@@ -141,17 +133,17 @@ class Checkpointer:
         self.policy = policy or RetentionPolicy()
         self.options = options or SaveOptions()
         self._store = runtime.backend.store("driver")
-        self._catalog = StepCatalog()
+        self._catalog: dict[int, bool] = {}  # known steps, with their finality
         self._pending: tuple[int, CheckpointSaveHandle] | None = None
         self.refresh()
 
     # -- catalog ------------------------------------------------------------
 
     def refresh(self) -> None:
-        self._catalog.steps = _collective_scan(self.runtime, self.root)
+        self._catalog = _collective_scan(self.runtime, self.root)
 
     def all_steps(self) -> list[int]:
-        return self._catalog.finalized_steps()
+        return _finalized(self._catalog)
 
     def latest_step(self) -> int | None:
         """Highest finalized step in the catalog, without touching storage.
@@ -161,7 +153,7 @@ class Checkpointer:
         after :meth:`refresh`. The module-level :func:`latest_step` always
         scans storage.
         """
-        return self._catalog.latest_finalized()
+        return max(_finalized(self._catalog), default=None)
 
     def step_path(self, step: int) -> str:
         return f"{self.root}/{step_dir_name(step)}"
@@ -176,7 +168,7 @@ class Checkpointer:
         options: SaveOptions | None = None,
     ) -> CheckpointSaveHandle:
         self.wait()
-        latest = self._catalog.latest_finalized()
+        latest = self.latest_step()
         if latest is not None and step <= latest:
             raise StepError(
                 f"step {step} is not after the latest finalized step {latest}"
@@ -200,7 +192,7 @@ class Checkpointer:
         step, handle = self._pending
         self._pending = None
         handle.wait()
-        self._catalog.steps[step] = True
+        self._catalog[step] = True
         self.garbage_collect()
 
     # -- loading ------------------------------------------------------------
@@ -229,7 +221,7 @@ class Checkpointer:
         fails stays listed and the error is surfaced after the remaining
         steps were attempted.
         """
-        finalized = self._catalog.finalized_steps()
+        finalized = _finalized(self._catalog)
         keep = self.policy.retained(finalized)
         deleted: list[int] = []
         failures: dict[int, BaseException] = {}
@@ -242,7 +234,7 @@ class Checkpointer:
                 failures[step] = e
                 continue
             deleted.append(step)
-            del self._catalog.steps[step]
+            del self._catalog[step]
         if failures:
             raise GarbageCollectionError(failures)
         return deleted
@@ -253,7 +245,8 @@ class Checkpointer:
         Covers ``.tmp.<nonce>`` directories and unfinalized step residue
         older than ``max_age_seconds``; never runs automatically, to avoid
         racing an in-flight save. If a shallow listing finds dead
-        directories, one full listing supplies their keys and ages.
+        directories, one full listing supplies their keys and ages; a
+        directory with no keys (on ``fs:``) is aged by its own mtime.
         """
         names, steps = _root_children(self._store, self.root)
         dead = {step_dir_name(s) for s, done in steps.items() if not done}
@@ -264,9 +257,10 @@ class Checkpointer:
         swept = []
         now = time.time()
         for d in sorted(dead):
-            newest = self._store.backend.newest_mtime(by_dir.get(d, ()))
+            prefix = f"{self.root}/{d}"
+            keys = by_dir.get(d) or [prefix]  # an empty directory is its own key
+            newest = self._store.backend.newest_mtime(keys)  # None: removed since listed
             if newest is not None and now - newest >= max_age_seconds:
-                prefix = f"{self.root}/{d}"
-                delete_checkpoint(self._store, prefix, by_dir[d])
+                delete_checkpoint(self._store, prefix, keys)
                 swept.append(prefix)
         return swept

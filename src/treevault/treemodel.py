@@ -23,7 +23,6 @@ from typing import Any, Callable, ClassVar, Iterator, Union
 
 import numpy as np
 
-from . import docio
 from .dtypes import FLOAT_DTYPES, INT_DTYPES, dtype_name, numpy_dtype
 from .errors import CastError, TreeError
 from .sharding import Sharding
@@ -309,13 +308,6 @@ class TreeStructureDoc:
     @classmethod
     def from_tree(cls, tree: Tree) -> "TreeStructureDoc":
         return cls(_structure_node(tree))
-
-    def to_bytes(self) -> bytes:
-        return docio.dumps_canonical(self.root)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TreeStructureDoc":
-        return cls(docio.loads(data, what="tree structure"))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TreeStructureDoc) and self.root == other.root

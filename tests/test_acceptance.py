@@ -30,7 +30,6 @@ from treevault import (
     is_finalized,
     load_checkpoint,
     load_safetensors,
-    load_with_broadcast,
     save_checkpoint,
     tree_equal,
 )
@@ -216,7 +215,7 @@ def test_04_broadcast_loading(n):
     plain_bytes = backend.counters().payload_bytes_read - before
 
     before = backend.counters().payload_bytes_read
-    bcast = load_with_broadcast(rt, "a/ck", {"m": abstract})
+    bcast = load_checkpoint(rt, "a/ck", {"m": abstract}, LoadOptions(broadcast=True))
     bcast_bytes = backend.counters().payload_bytes_read - before
 
     ratio = bcast_bytes / plain_bytes

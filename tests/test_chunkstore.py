@@ -14,7 +14,6 @@ from treevault.chunkstore import (
     AGGREGATED,
     AggregatedManifest,
     ArrayStorageMetadata,
-    ChunkGrid,
     ChunkReader,
     PER_LEAF,
     ProcessArrayWriter,
@@ -138,11 +137,11 @@ class TestDeriveWriteChunk:
 class TestGridValidation:
     def test_read_must_divide_write(self):
         with pytest.raises(ChunkStoreError):
-            ChunkGrid((8, 8), (8, 8), (3, 8))
+            meta_for((8, 8), shard=(8, 8), write=(8, 8), read=(3, 8))
 
     def test_write_must_divide_shard(self):
         with pytest.raises(ChunkStoreError):
-            ChunkGrid((8, 8), (5, 8), (5, 8))
+            meta_for((8, 8), shard=(8, 8), write=(5, 8), read=(5, 8))
 
     def test_shard_must_divide_global(self):
         with pytest.raises(ChunkStoreError):
@@ -796,3 +795,17 @@ class TestFilesystemDelete:
         with pytest.raises(MissingKeyError):
             fs.store().delete("a/gone")
         assert fs.store().list_keys("") == ["a/k"]
+
+    def test_empty_directory_is_deleted_by_its_name(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("a/k", b"x")
+        (fs.root / "a" / "empty").mkdir()
+        fs.store().delete("a/empty")
+        assert sorted(p.name for p in (fs.root / "a").iterdir()) == ["k"]
+
+    def test_directory_with_keys_is_not_deleted(self, tmp_path):
+        fs = FilesystemBackend(tmp_path / "r")
+        fs.store().put("a/b/k", b"x")
+        with pytest.raises(BackendError, match="not empty"):
+            fs.store().delete("a/b")
+        assert fs.store().list_keys("") == ["a/b/k"]

@@ -311,7 +311,7 @@ class TestRunProgram:
 class TestRunOnWorkers:
     def test_acks_from_all_workers(self, backend):
         rt = make_runtime(backend, 4, mode=Mode.SINGLE_CONTROLLER)
-        acks = rt.controller.run_on_workers(lambda ctx: f"ack{ctx.index}")
+        acks = rt.run_on_workers(lambda ctx: f"ack{ctx.index}")
         assert acks == ["ack0", "ack1", "ack2", "ack3"]
 
     def test_controller_writes_no_chunk_payload(self, backend):
@@ -320,7 +320,7 @@ class TestRunOnWorkers:
         def write_task(ctx):
             ctx.store.put(f"data/process_{ctx.index}/w/c.{ctx.index}", b"x" * 64)
 
-        rt.controller.run_on_workers(write_task)
+        rt.run_on_workers(write_task)
         assert backend.counters("controller").payload_bytes_written == 0
         assert backend.counters("process_0").payload_bytes_written == 64
         assert backend.counters("process_1").payload_bytes_written == 64
@@ -334,7 +334,7 @@ class TestRunOnWorkers:
             return "ok"
 
         with pytest.raises(WorkerTaskError) as err:
-            rt.controller.run_on_workers(task)
+            rt.run_on_workers(task)
         assert err.value.failures[0][0] == 2
         assert "worker 2" in str(err.value)
 
@@ -345,7 +345,7 @@ class TestRunOnWorkers:
 
     def test_worker_subset(self, backend):
         rt = make_runtime(backend, 4, mode=Mode.SINGLE_CONTROLLER)
-        out = rt.controller.run_on_workers(lambda ctx: ctx.index, workers=[1, 3])
+        out = rt.run_on_workers(lambda ctx: ctx.index, workers=[1, 3])
         assert out == [1, 3]
 
 

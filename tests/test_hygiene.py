@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every private (``_``-prefixed) function, class or module constant of the
+package is referenced somewhere in it besides its definition.
 
 Package ``__init__.py`` files are skipped (their imports are re-exports),
 and so are ``from __future__`` imports. The benchmark tracer's targets are
@@ -10,6 +12,7 @@ name ``Mode``.
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -183,3 +186,77 @@ def test_op_kind_checker_reads_constants_and_flags_the_rest():
         "        return self.other('list')\n"
     )
     assert store_op_kinds(source) == {"put", "<dynamic>"}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under ``node``, as a bare name or as an attribute."""
+    out: Counter = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
+def private_definitions(source: str) -> list[tuple[str, ast.AST | None]]:
+    """``_``-prefixed functions and classes (at any depth) and module-level
+    constants a module defines, each with the node whose body is its own
+    definition (None for a constant); dunder names are not private."""
+    tree = ast.parse(source)
+    defs: list[tuple[str, ast.AST | None]] = [
+        (node.name, node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        defs += [(t.id, None) for t in targets if isinstance(t, ast.Name)]
+    return [(n, d) for n, d in defs if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names whose every reference lies inside their own definition
+    (a recursive call, say), or that have none at all."""
+    used = sum((_references(ast.parse(s)) for s in sources.values()), Counter())
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name, node in private_definitions(source)
+        if used[name] <= (_references(node)[name] if node is not None else 0)
+    )
+
+
+def test_every_private_name_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    defined = {n for s in sources.values() for n, _ in private_definitions(s)}
+    assert {"_finalized", "_Rendezvous", "_POLL_INTERVAL"} <= defined
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_checker_flags_only_dead_names():
+    source = (
+        "_LIMIT = 3\n"
+        "_DEAD = 4\n"
+        "class _Box:\n"
+        "    def _open(self):\n"
+        "        return _LIMIT\n"
+        "    def _dead(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return 'box'\n"
+        "def _helper():\n"
+        "    return _Box()._open()\n"
+        "def _unused():\n"
+        "    return _helper()\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1) if n else 0\n"
+    )
+    assert unreferenced_private_names({"m": source}) == [
+        "m._DEAD", "m._dead", "m._recursive", "m._unused",
+    ]

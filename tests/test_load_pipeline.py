@@ -21,7 +21,6 @@ from treevault import (
     load_checkpoint,
     load_checkpoint_async,
     load_safetensors,
-    load_with_broadcast,
     save_checkpoint,
     tree_equal,
 )
@@ -107,7 +106,7 @@ class TestPlan:
         assert dirs["layers/0/w"].reads == {
             p: [((2 * i, 2), (0, 8)) for i in (2 * p, 2 * p + 1)] for p in (0, 1)
         }
-        assert not any(d.placeholder for d in dirs.values())
+        assert not any(d.source == "placeholder" for d in dirs.values())
 
     def test_partial_subset_omits_leaves(self, backend):
         rt, mesh, tree, _ = saved_checkpoint(backend)
@@ -123,7 +122,7 @@ class TestPlan:
         abstract["new_head"] = {"w": AbstractLeaf("array", (4,), "f32")}
         plan = build_plan(meta, {"model": abstract}, LoadOptions(mode="partial"))
         by_path = {d.leaf_path: d for d in plan.directives["model"]}
-        assert by_path["new_head/w"].placeholder
+        assert by_path["new_head/w"].source == "placeholder"
         assert by_path["new_head/w"].target.placeholder
 
     def test_strict_rejects_subset_and_superset(self, backend):
@@ -304,6 +303,20 @@ class TestLoad:
         assert tree_equal(out["model"], tree)
         assert handle.done()
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("processes", [2, 4])
+    def test_concurrent_loads_of_one_path(self, backend, processes, mode):
+        """Two loads of one checkpoint in flight at once each meet only at
+        their own barriers."""
+        _, mesh, tree, _ = saved_checkpoint(backend, processes)
+        rt = make_runtime(backend, processes, mode=mode)
+        for _ in range(20):
+            handles = [
+                load_checkpoint_async(rt, "c/s0", current_mesh=mesh) for _ in range(2)
+            ]
+            for handle in handles:
+                assert tree_equal(handle.wait()["model"], tree)
+
     def test_runtime_process_mismatch_rejected(self, backend):
         rt, mesh, tree, shardings = saved_checkpoint(backend, processes=2)
         other_rt = make_runtime(backend, 4)
@@ -434,7 +447,7 @@ class TestBroadcastLoad:
         plain_bytes = backend.counters().payload_bytes_read - base
 
         base = backend.counters().payload_bytes_read
-        bcast = load_with_broadcast(rt, "c/b", {"m": abstract})
+        bcast = load_checkpoint(rt, "c/b", {"m": abstract}, LoadOptions(broadcast=True))
         bcast_bytes = backend.counters().payload_bytes_read - base
 
         assert plain_bytes == n * data.nbytes
@@ -446,14 +459,16 @@ class TestBroadcastLoad:
     def test_single_group_identical_to_plain(self):
         backend, rt, data, abstract = self._setup(1)
         plain = load_checkpoint(rt, "c/b", {"m": abstract})
-        bcast = load_with_broadcast(rt, "c/b", {"m": abstract})
+        bcast = load_checkpoint(rt, "c/b", {"m": abstract}, LoadOptions(broadcast=True))
         assert tree_equal(plain["m"], bcast["m"])
 
     def test_caller_options_unchanged(self):
         backend, rt, data, abstract = self._setup(2)
         options = LoadOptions()
         base = backend.counters().payload_bytes_read
-        bcast = load_with_broadcast(rt, "c/b", {"m": abstract}, options)
+        bcast = load_checkpoint(
+            rt, "c/b", {"m": abstract}, dataclasses.replace(options, broadcast=True)
+        )
         assert options.broadcast is False
         assert backend.counters().payload_bytes_read - base == data.nbytes
         assert np.array_equal(bcast["m"]["w"].data, data)
@@ -469,7 +484,9 @@ class TestBroadcastLoad:
             )
         }
         with pytest.raises(ShardingError):
-            load_with_broadcast(rt, "c/b", {"m": partitioned_over_replica})
+            load_checkpoint(
+                rt, "c/b", {"m": partitioned_over_replica}, LoadOptions(broadcast=True)
+            )
 
     def test_only_group_zero_processes_read(self):
         backend, rt, data, abstract = self._setup(4)
@@ -477,7 +494,7 @@ class TestBroadcastLoad:
             p: backend.counters(f"process_{p}").payload_bytes_read
             for p in range(8)
         }
-        load_with_broadcast(rt, "c/b", {"m": abstract})
+        load_checkpoint(rt, "c/b", {"m": abstract}, LoadOptions(broadcast=True))
         read = {
             p: backend.counters(f"process_{p}").payload_bytes_read - base[p]
             for p in range(8)

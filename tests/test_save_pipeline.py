@@ -66,7 +66,7 @@ class TestBasicSave:
             rt, "c/s0", {"model": tree}, tree_shardings(mesh), SaveOptions(sync=True)
         )
         assert handle.done()
-        assert handle.phases == ["finalized"]
+        assert is_finalized(backend.store(), "c/s0")
         out = load_checkpoint(rt, "c/s0", current_mesh=mesh)
         assert tree_equal(out["model"], tree)
 

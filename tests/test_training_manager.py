@@ -211,7 +211,7 @@ class TestGarbageCollection:
         with pytest.raises(GarbageCollectionError) as err:
             cp.wait()
         assert 1 in err.value.failures
-        assert 1 in cp._catalog.steps  # still listed
+        assert 1 in cp._catalog  # still listed
         # the fault consumed itself; a retry succeeds
         assert cp.garbage_collect() == [1]
         assert cp.all_steps() == [2]
@@ -222,7 +222,7 @@ class TestGarbageCollection:
         for step in (0, 1, 2, 3):
             cp.save_step(step, {"model": tree_for(step)})
             cp.wait()
-            assert scan_steps(backend.store(), "root") == cp._catalog.steps
+            assert scan_steps(backend.store(), "root") == cp._catalog
 
 
 class TestCatalogLatestStep:
@@ -394,7 +394,7 @@ class TestShallowDiscovery:
         assert scan_steps(store, "root") == steps
         assert scan_steps(store, "root/") == steps
         cp = Checkpointer(make_runtime(backend, 1), "root", RetentionPolicy(keep_last=99))
-        assert cp._catalog.steps == steps
+        assert cp._catalog == steps
         before = set(backend.dump())
         dead = reference_dead(store, "root")
         assert cp.sweep_tmp(0.0) == dead
@@ -423,11 +423,24 @@ class TestShallowDiscovery:
 
     def test_fs_empty_step_directory_is_unfinalized(self, tmp_path):
         """A crash between ``mkdir`` and the first put leaves a directory
-        that only the shallow listing sees; it is never a load candidate."""
+        that only the shallow listing sees; it is never a load candidate,
+        and a sweep removes it."""
         backend = FilesystemBackend(tmp_path)
         fill_steps(backend.store(), [1], keys_per_step=2)
         (backend.root / "root" / step_dir_name(2)).mkdir()
         assert scan_steps(backend.store(), "root") == {1: True, 2: False}
         cp = Checkpointer(make_runtime(backend, 1), "root")
         assert cp.latest_step() == 1
-        assert cp.sweep_tmp(0.0) == []  # holds no key to delete
+        assert cp.sweep_tmp(0.0) == ["root/step_00000002"]
+        assert not (backend.root / "root" / step_dir_name(2)).exists()
+        assert scan_steps(backend.store(), "root") == {1: True}
+
+    def test_ages_skip_keys_removed_since_the_listing(self, tmp_path):
+        """A dead directory that vanished between the sweep's two listings
+        has no age, so it is skipped rather than failing the sweep."""
+        for backend in (MemoryBackend(), FilesystemBackend(tmp_path)):
+            backend.store().put("root/a/k", b"x")
+            newest = backend.newest_mtime(["root/a/k"])
+            assert newest is not None
+            assert backend.newest_mtime(["root/a/k", "root/a/gone"]) == newest
+            assert backend.newest_mtime(["root/gone"]) is None

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_tree
 from oracles import int_cast_fits, reference_flatten
+from treevault import docio
 from treevault import (
     PLACEHOLDER,
     AbstractLeaf,
@@ -104,7 +105,7 @@ class TestTreeMetadata:
 
     def test_tuple_kind_round_trips(self):
         tree = {"x": (Scalar("i64", 1), Scalar("i64", 2))}
-        doc = TreeStructureDoc.from_bytes(tree_metadata(tree).to_bytes())
+        doc = TreeStructureDoc(docio.loads(docio.dumps_canonical(tree_metadata(tree).root)))
         rebuilt = doc.reconstruct(dict(flatten(tree)).__getitem__)
         assert isinstance(rebuilt["x"], tuple)
 
@@ -113,7 +114,7 @@ class TestTreeMetadata:
         for _ in range(60):
             tree = random_tree(rng)
             doc = tree_metadata(tree)
-            parsed = TreeStructureDoc.from_bytes(doc.to_bytes())
+            parsed = TreeStructureDoc(docio.loads(docio.dumps_canonical(doc.root)))
             assert parsed == doc
             assert tree_equal(
                 parsed.reconstruct(dict(flatten(tree)).__getitem__), tree
@@ -121,9 +122,9 @@ class TestTreeMetadata:
 
     def test_canonical_bytes_are_stable(self):
         tree = {"b": Scalar("i64", 1), "a": Text("x")}
-        assert tree_metadata(tree).to_bytes() == tree_metadata(
-            {"a": Text("x"), "b": Scalar("i64", 1)}
-        ).to_bytes()
+        assert docio.dumps_canonical(tree_metadata(tree).root) == docio.dumps_canonical(
+            tree_metadata({"a": Text("x"), "b": Scalar("i64", 1)}).root
+        )
 
 
 class TestAbstractOf:
@@ -230,7 +231,7 @@ class TestCastLeaf:
 @settings(max_examples=60, deadline=None)
 def test_metadata_round_trip_property(tree):
     doc = tree_metadata(tree)
-    parsed = TreeStructureDoc.from_bytes(doc.to_bytes())
+    parsed = TreeStructureDoc(docio.loads(docio.dumps_canonical(doc.root)))
     assert parsed == doc
     rebuilt = parsed.reconstruct(dict(flatten(tree)).__getitem__)
     assert tree_equal(rebuilt, tree)
